@@ -121,19 +121,11 @@ class DominancePropagator(TheoryPropagator):
         # Theory-variable bounds move without literal events of their own;
         # watching everything the linear propagator watches guarantees we
         # re-evaluate on the same fixpoints (we are registered after it).
-        watched.update(self._linear_watches(init))
+        watched.update(self._linear.watches)
         watched.add(init.true_lit)
         watched.discard(-init.true_lit)
         for lit in sorted(watched):
             init.add_watch(lit, self)
-
-    def _linear_watches(self, init: PropagatorInit) -> Sequence[int]:
-        lits = set()
-        for constraint in self._linear._constraints:
-            lits.add(constraint.condition)
-            for weight, lit in constraint.bool_terms:
-                lits.add(lit if weight > 0 else -lit)
-        return lits
 
     # -- pruning -----------------------------------------------------------------
 
@@ -228,10 +220,7 @@ class ObjectiveBoundPropagator(TheoryPropagator):
         watched = set()
         for objective in self.objectives:
             watched.update(objective.watch_literals())
-        for constraint in self._linear._constraints:
-            watched.add(constraint.condition)
-            for weight, lit in constraint.bool_terms:
-                watched.add(lit if weight > 0 else -lit)
+        watched.update(self._linear.watches)
         watched.add(init.true_lit)
         for lit in sorted(watched):
             init.add_watch(lit, self)

@@ -13,7 +13,6 @@ pops everything above a target level.  Level-0 updates are permanent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.asp.syntax import Symbol
@@ -23,17 +22,6 @@ __all__ = ["IntervalStore", "INT_MIN", "INT_MAX"]
 #: Pseudo-infinities for variables without an explicit ``&dom``.
 INT_MIN = -(1 << 40)
 INT_MAX = 1 << 40
-
-
-@dataclass
-class _Entry:
-    """Trail record: previous bound state of one variable side."""
-
-    level: int
-    var: int
-    is_lower: bool
-    old_bound: int
-    old_reason: Tuple[int, ...]
 
 
 class IntervalStore:
@@ -46,7 +34,9 @@ class IntervalStore:
         self._ub: List[int] = []
         self._lb_reason: List[Tuple[int, ...]] = []
         self._ub_reason: List[Tuple[int, ...]] = []
-        self._trail: List[_Entry] = []
+        #: Trail records ``(level, var, is_lower, old_bound, old_reason)``:
+        #: the previous state of one bound, restored by :meth:`undo`.
+        self._trail: List[Tuple[int, int, bool, int, Tuple[int, ...]]] = []
         #: Monotone counter bumped on every bound change (including undo);
         #: equal revisions guarantee identical bounds, so readers that
         #: derive values from the store can cache per revision.
@@ -111,7 +101,7 @@ class IntervalStore:
             return False
         if level > 0:
             self._trail.append(
-                _Entry(level, var, True, self._lb[var], self._lb_reason[var])
+                (level, var, True, self._lb[var], self._lb_reason[var])
             )
         self._lb[var] = value
         self._lb_reason[var] = tuple(reason)
@@ -126,7 +116,7 @@ class IntervalStore:
             return False
         if level > 0:
             self._trail.append(
-                _Entry(level, var, False, self._ub[var], self._ub_reason[var])
+                (level, var, False, self._ub[var], self._ub_reason[var])
             )
         self._ub[var] = value
         self._ub_reason[var] = tuple(reason)
@@ -137,15 +127,16 @@ class IntervalStore:
 
     def undo(self, level: int) -> None:
         """Restore all bounds recorded above ``level``."""
-        while self._trail and self._trail[-1].level > level:
-            entry = self._trail.pop()
+        trail = self._trail
+        while trail and trail[-1][0] > level:
+            _level, var, is_lower, old_bound, old_reason = trail.pop()
             self.revision += 1
-            if entry.is_lower:
-                self._lb[entry.var] = entry.old_bound
-                self._lb_reason[entry.var] = entry.old_reason
+            if is_lower:
+                self._lb[var] = old_bound
+                self._lb_reason[var] = old_reason
             else:
-                self._ub[entry.var] = entry.old_bound
-                self._ub_reason[entry.var] = entry.old_reason
+                self._ub[var] = old_bound
+                self._ub_reason[var] = old_reason
 
     # -- introspection ----------------------------------------------------------
 

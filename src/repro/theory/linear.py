@@ -20,6 +20,15 @@ records the solver literals that justify it, so conflicts and Boolean
 propagations become ordinary learned clauses — the "partial assignment
 evaluation" of the DATE 2017 paper this work builds on.
 
+The fixpoint is incremental in the clingo-dl/clingcon manner: a queued
+constraint is re-evaluated only when one of its inputs (a bound it
+reads, its condition, a Boolean term) moved since its last evaluation,
+an explanation is built only when an evaluation tightens, forces or
+conflicts, and one-variable bounds applied at decision level 0 leave the
+re-queue lists.  Each skipped evaluation would have done nothing, so the
+queue order, every clause and every reason — hence the search — are the
+same as when every queued constraint is evaluated.
+
 Completeness: the encodings keep every constraint *difference-like* —
 at most two variable terms with coefficients +1/-1 (plus arbitrary
 Boolean terms).  For such systems, bounds propagation over the finite
@@ -103,8 +112,34 @@ class LinearPropagator(TheoryPropagator):
         self.store = IntervalStore()
         self._default_bounds = (default_lb, default_ub)
         self._constraints: List[LinearConstraint] = []
-        self._by_var: Dict[int, List[int]] = {}
+        #: Sorted solver literals whose truth can make a constraint
+        #: propagate: every condition, and each Boolean term in the
+        #: polarity that raises its sum.  Set by :meth:`init`; stacked
+        #: propagators that must re-evaluate on the same fixpoints watch
+        #: these too.
+        self.watches: Tuple[int, ...] = ()
+        # Per constraint, the form the fixpoint evaluates: (condition,
+        # var_terms, bool_terms, bound, largest Boolean weight) with every
+        # Boolean term rewritten as ``weight >= 0`` times its sum-raising
+        # literal (``w*[l]`` with ``w <= 0`` is ``w + (-w)*[-l]``; the
+        # constant moves to the bound).
+        self._rows: List[Tuple[int, tuple, tuple, int, int]] = []
         self._by_lit: Dict[int, List[int]] = {}
+        # Per store variable: the constraints re-queued when one of its
+        # bounds moves, and those that read its lower / upper bound.
+        self._by_var: List[List[int]] = []
+        self._lb_readers: List[List[int]] = []
+        self._ub_readers: List[List[int]] = []
+        # Per constraint: whether an input may have moved since its last
+        # evaluation.  Re-evaluating a constraint whose inputs did not
+        # move tightens nothing, so such queue entries are skipped.
+        self._changed: List[bool] = []
+        # Per constraint: its variable when it is a one-variable bound
+        # without Boolean terms (an &dom half), else -1.  Applied at
+        # decision level 0 such a bound holds for good, and it is retired
+        # from the re-queue lists.
+        self._unit_var: List[int] = []
+        self._retired: Set[int] = set()
         self._solver: Optional[Solver] = None
         #: Statistics: bound updates / conflicts / propagated literals.
         self.bound_updates = 0
@@ -125,16 +160,41 @@ class LinearPropagator(TheoryPropagator):
                 self._init_sum(atom, lit, init)
             else:
                 continue  # other theories (e.g. the dominance propagator)
+        num_vars = self.store.num_vars
+        self._by_var = [[] for _ in range(num_vars)]
+        self._lb_readers = [[] for _ in range(num_vars)]
+        self._ub_readers = [[] for _ in range(num_vars)]
         for index, constraint in enumerate(self._constraints):
-            for _coef, var in constraint.var_terms:
-                self._by_var.setdefault(var, []).append(index)
+            for coef, var in constraint.var_terms:
+                self._by_var[var].append(index)
+                readers = self._lb_readers if coef > 0 else self._ub_readers
+                readers[var].append(index)
             watched.add(constraint.condition)
             self._by_lit.setdefault(constraint.condition, []).append(index)
+            bound = constraint.bound
+            bool_terms = []
             for weight, lit in constraint.bool_terms:
-                trigger = lit if weight > 0 else -lit
-                watched.add(trigger)
-                self._by_lit.setdefault(trigger, []).append(index)
-        for lit in sorted(watched):
+                if weight <= 0:
+                    bound -= weight
+                    weight, lit = -weight, -lit
+                bool_terms.append((weight, lit))
+                watched.add(lit)
+                self._by_lit.setdefault(lit, []).append(index)
+            max_weight = max((weight for weight, _lit in bool_terms), default=-1)
+            self._rows.append(
+                (
+                    constraint.condition,
+                    constraint.var_terms,
+                    tuple(bool_terms),
+                    bound,
+                    max_weight,
+                )
+            )
+            unit = len(constraint.var_terms) == 1 and not bool_terms
+            self._unit_var.append(constraint.var_terms[0][1] if unit else -1)
+        self._changed = [True] * len(self._constraints)
+        self.watches = tuple(sorted(watched))
+        for lit in self.watches:
             init.add_watch(lit, self)
 
     def var_id(self, name: Symbol) -> int:
@@ -299,21 +359,41 @@ class LinearPropagator(TheoryPropagator):
             return True
         if len(indices) > 1:
             indices = list(dict.fromkeys(indices))
+        changed = self._changed
+        for index in indices:
+            changed[index] = True
         return self._fixpoint(solver, deque(indices), set(indices))
 
     def check(self, solver: Solver) -> bool:
-        queue = deque(range(len(self._constraints)))
+        self._changed = [True] * len(self._rows)
+        retired = self._retired
+        queue = deque(i for i in range(len(self._rows)) if i not in retired)
         return self._fixpoint(solver, queue, set(queue))
 
     def undo(self, solver: Solver, level: int) -> None:
         self.store.undo(level)
+        self._changed = [True] * len(self._rows)
 
-    #: Safety cap on constraint re-evaluations per fixpoint: a positive
-    #: cycle over unbounded (&dom-less) variables would otherwise loop
-    #: for ~2^40 iterations instead of failing fast.
+    #: Safety cap on queue pops per fixpoint: a positive cycle over
+    #: unbounded (&dom-less) variables would otherwise loop for ~2^40
+    #: iterations instead of failing fast.
     MAX_FIXPOINT_STEPS = 200_000
 
     def _fixpoint(self, solver: Solver, queue: deque, queued: Set[int]) -> bool:
+        """Evaluate queued constraints in FIFO order until nothing moves.
+
+        A popped constraint is evaluated only when it is active and one of
+        its inputs moved since its last evaluation; every pop counts
+        towards :attr:`MAX_FIXPOINT_STEPS`.
+        """
+        rows = self._rows
+        changed = self._changed
+        by_var = self._by_var
+        unit_var = self._unit_var
+        values = solver._values  # hot loop: avoid per-literal method calls
+        level = solver.decision_level
+        pop, push = queue.popleft, queue.append
+        mark, unmark = queued.add, queued.discard
         steps = 0
         while queue:
             steps += 1
@@ -322,107 +402,132 @@ class LinearPropagator(TheoryPropagator):
                     "linear propagation did not converge; declare &dom "
                     "intervals for all theory variables"
                 )
-            index = queue.popleft()
-            queued.discard(index)
-            constraint = self._constraints[index]
-            if solver.value(constraint.condition) is not True:
+            index = pop()
+            unmark(index)
+            if not changed[index]:
                 continue
-            changed_vars = self._propagate_constraint(solver, constraint)
-            if changed_vars is None:
+            row = rows[index]
+            condition = row[0]
+            if (values[condition] if condition > 0 else -values[-condition]) <= 0:
+                continue
+            changed[index] = False
+            moved = self._propagate_constraint(solver, row, level)
+            if moved is None:
                 self.theory_conflicts += 1
+                self._changed = [True] * len(rows)
                 return False
-            for var in changed_vars:
-                for other in self._by_var.get(var, ()):
+            if level == 0 and unit_var[index] >= 0:
+                self._retire(index)
+            for var in moved:
+                for other in by_var[var]:
                     if other not in queued:
-                        queued.add(other)
-                        queue.append(other)
+                        mark(other)
+                        push(other)
         return True
 
+    def _retire(self, index: int) -> None:
+        """Drop an applied level-0 one-variable bound from re-queueing.
+
+        ``x <= hi`` (or ``-x <= -lo``) now bounds ``x`` at level 0 for
+        good, so the constraint can never tighten again, and any later
+        empty interval is caught by the emptiness check at the bound
+        update that causes it.
+        """
+        self._by_var[self._unit_var[index]].remove(index)
+        self._unit_var[index] = -1
+        self._retired.add(index)
+
     def _propagate_constraint(
-        self, solver: Solver, constraint: LinearConstraint
+        self, solver: Solver, row: Tuple[int, tuple, tuple, int, int], level: int
     ) -> Optional[List[int]]:
-        """Propagate one active constraint; None signals a conflict."""
+        """Propagate one active constraint; None signals a conflict.
+
+        Returns the variables whose bound moved.  The explanation is built
+        only when the evaluation tightens a bound, forces a literal or
+        conflicts, from the state before any of its own updates.
+        """
+        condition, var_terms, bool_terms, bound, max_weight = row
         store = self.store
-        level = solver.decision_level
+        lbs = store._lb  # hot loop: read the bound arrays directly
+        ubs = store._ub
+        values = solver._values
         min_sum = 0
-        base_expl: List[int] = [constraint.condition]
-        for coef, var in constraint.var_terms:
-            if coef > 0:
-                min_sum += coef * store.lb(var)
-                base_expl.extend(store.lb_reason(var))
-            else:
-                min_sum += coef * store.ub(var)
-                base_expl.extend(store.ub_reason(var))
-        unassigned_bools: List[Tuple[int, int]] = []
-        values = solver._values  # hot loop: avoid per-literal method calls
-        for weight, lit in constraint.bool_terms:
-            signed = values[lit] if lit > 0 else -values[-lit]
-            if weight > 0:
-                if signed > 0:
-                    min_sum += weight
-                    base_expl.append(lit)
-                elif signed == 0:
-                    unassigned_bools.append((weight, lit))
-            else:
-                if signed < 0:
-                    base_expl.append(-lit)
-                else:
-                    min_sum += weight
-                    if signed == 0:
-                        unassigned_bools.append((weight, lit))
-        slack = constraint.bound - min_sum
+        for coef, var in var_terms:
+            min_sum += coef * (lbs[var] if coef > 0 else ubs[var])
+        true_lits: List[int] = []
+        for weight, lit in bool_terms:
+            if (values[lit] if lit > 0 else -values[-lit]) > 0:
+                min_sum += weight
+                true_lits.append(lit)
+        slack = bound - min_sum
         if slack < 0:
-            solver.add_propagator_clause(
-                [-lit for lit in dict.fromkeys(base_expl)]
-            )
+            reason = self._explain(condition, var_terms, true_lits)
+            solver.add_propagator_clause([-lit for lit in reason])
             return None
 
-        changed: List[int] = []
+        reason = None
+        changed = self._changed
+        moved: List[int] = []
         # Tighten variable bounds.
-        for coef, var in constraint.var_terms:
+        for coef, var in var_terms:
             if coef > 0:
-                new_ub = store.lb(var) + slack // coef
-                if new_ub < store.ub(var):
-                    self.bound_updates += 1
-                    store.set_ub(var, new_ub, tuple(dict.fromkeys(base_expl)), level)
-                    changed.append(var)
-                    if store.is_empty(var):
-                        expl = list(store.lb_reason(var)) + list(store.ub_reason(var))
-                        solver.add_propagator_clause(
-                            [-lit for lit in dict.fromkeys(expl)]
-                        )
-                        return None
+                new_ub = lbs[var] + slack // coef
+                if new_ub >= ubs[var]:
+                    continue
+                if reason is None:
+                    reason = self._explain(condition, var_terms, true_lits)
+                self.bound_updates += 1
+                store.set_ub(var, new_ub, reason, level)
+                readers = self._ub_readers[var]
             else:
-                new_lb = store.ub(var) - slack // (-coef)
-                if new_lb > store.lb(var):
-                    self.bound_updates += 1
-                    store.set_lb(var, new_lb, tuple(dict.fromkeys(base_expl)), level)
-                    changed.append(var)
-                    if store.is_empty(var):
-                        expl = list(store.lb_reason(var)) + list(store.ub_reason(var))
-                        solver.add_propagator_clause(
-                            [-lit for lit in dict.fromkeys(expl)]
-                        )
-                        return None
-        # Force Boolean terms that would overflow the slack.
-        for weight, lit in unassigned_bools:
-            if weight > 0 and weight > slack:
-                self.theory_propagations += 1
-                ok = solver.add_propagator_clause(
-                    [-l for l in dict.fromkeys(base_expl)] + [-lit]
-                )
-                if not ok:
-                    return None
-            elif weight < 0 and slack + weight < 0:
-                # Falsifying `lit` would drop the (negative) weight from the
-                # sum and overflow the bound, so `lit` must hold.
-                self.theory_propagations += 1
-                ok = solver.add_propagator_clause(
-                    [-l for l in dict.fromkeys(base_expl)] + [lit]
-                )
-                if not ok:
-                    return None
-        return changed
+                new_lb = ubs[var] - slack // (-coef)
+                if new_lb <= lbs[var]:
+                    continue
+                if reason is None:
+                    reason = self._explain(condition, var_terms, true_lits)
+                self.bound_updates += 1
+                store.set_lb(var, new_lb, reason, level)
+                readers = self._lb_readers[var]
+            moved.append(var)
+            for other in readers:
+                changed[other] = True
+            if lbs[var] > ubs[var]:
+                expl = store.lb_reason(var) + store.ub_reason(var)
+                solver.add_propagator_clause([-lit for lit in dict.fromkeys(expl)])
+                return None
+        if max_weight <= slack:
+            return moved
+        # Falsify the unassigned Boolean terms that would overflow the
+        # slack (all picked before forcing one may assign another).
+        forced = [
+            lit
+            for weight, lit in bool_terms
+            if weight > slack and not values[lit if lit > 0 else -lit]
+        ]
+        for lit in forced:
+            if reason is None:
+                reason = self._explain(condition, var_terms, true_lits)
+            self.theory_propagations += 1
+            if not solver.add_propagator_clause([-l for l in reason] + [-lit]):
+                return None
+            for other in self._by_lit.get(-lit, ()):
+                changed[other] = True
+        return moved
+
+    def _explain(
+        self, condition: int, var_terms: tuple, true_lits: List[int]
+    ) -> Tuple[int, ...]:
+        """Literals justifying a constraint's current minimal sum.
+
+        In order: the condition, the reason of each bound the constraint
+        reads, then its true Boolean terms; duplicates dropped.
+        """
+        store = self.store
+        expl = [condition]
+        for coef, var in var_terms:
+            expl += store.lb_reason(var) if coef > 0 else store.ub_reason(var)
+        expl += true_lits
+        return tuple(dict.fromkeys(expl))
 
     # ------------------------------------------------------------------
     # Introspection / models

@@ -17,6 +17,27 @@ EXPECTED_TASKS = {
     "mesh_symmetric": 3,
 }
 
+#: Work counters (conflicts, decisions, propagations, models_enumerated)
+#: of sequential ``explore()`` with default options, per solver core.
+#: They repeat exactly across runs and hash seeds, so a change that moves
+#: them changes the search trajectory and has to say so.
+EXPECTED_WORK = {
+    "flat": {
+        "consumer_jpeg": (226, 385, 11755, 11),
+        "telecom_modem": (131, 212, 6251, 5),
+        "auto_engine": (75, 114, 4188, 5),
+        "network_firewall": (1915, 2791, 139934, 35),
+        "mesh_symmetric": (2682, 4548, 165187, 1),
+    },
+    "reference": {
+        "consumer_jpeg": (226, 385, 11758, 11),
+        "telecom_modem": (120, 200, 5540, 5),
+        "auto_engine": (75, 114, 4194, 5),
+        "network_firewall": (3272, 4535, 225854, 52),
+        "mesh_symmetric": (2688, 4802, 166557, 1),
+    },
+}
+
 
 class TestConstruction:
     @pytest.mark.parametrize("name", CURATED_NAMES)
@@ -52,6 +73,17 @@ class TestExploration:
         assert not result.statistics.interrupted, name
         for point in result.front:
             assert validate(spec, point.implementation) == []
+
+    @pytest.mark.parametrize("name", CURATED_NAMES)
+    def test_work_counters_pinned(self, name):
+        stats = explore(curated(name)).statistics
+        counters = (
+            stats.conflicts,
+            stats.decisions,
+            stats.propagations,
+            stats.models_enumerated,
+        )
+        assert counters == EXPECTED_WORK[stats.solver_core][name]
 
     def test_consumer_front_matches_exhaustive(self):
         spec = curated("consumer_jpeg")

@@ -208,3 +208,17 @@ class TestModelValues:
             models=1,
         )
         assert propagator.bound_updates > 0
+
+
+class TestFixpointCap:
+    def test_positive_cycle_without_dom_raises(self):
+        # x < y and y < x over the default [0, 2^40] intervals: every pop
+        # tightens a bound by one, so only the step cap ends the fixpoint.
+        with pytest.raises(
+            RuntimeError,
+            match=(
+                r"^linear propagation did not converge; declare &dom "
+                r"intervals for all theory variables$"
+            ),
+        ):
+            solve_with_theory("&sum { x - y } <= -1. &sum { y - x } <= -1.")
