@@ -1,9 +1,8 @@
 """Parallel speedup benchmark (extension): elastic scheduler + archive.
 
-Records 1/2/4-worker wall times on curated workloads for both cube
-schedulers (``static`` round-robin shares vs. elastic ``stealing``) with
-the shared dominance archive on and off, and writes the table plus the
-headline ratios to ``BENCH_parallel.json`` at the repository root.
+Records 1/2/4-worker wall times on curated workloads with the shared
+dominance archive on and off, and writes the table to
+``BENCH_parallel.json`` at the repository root.
 
 The ISSUE targeted >= 3x wall time vs. the sequential explorer at 4
 workers; that assumes 4 cores, and the benchmark suite runs the
@@ -11,22 +10,16 @@ deterministic *inline* backend (and frequently a single-core CI box), so
 workers timeshare one interpreter and a vs-sequential wall-time ratio
 above 1 is not measurable here — parallelism overhead even makes it
 < 1.  What *is* measurable, deterministic, and machine-independent is
-the amount of solver work each scheduling policy needs: the inline
-backend replays bit-identical trajectories, so model/conflict counts are
-exact.  The assertions below therefore encode defensible floors in the
-same spirit as ``bench_solver.py`` (see docs/PARALLEL.md for the full
+the amount of solver work each configuration needs: the inline backend
+replays bit-identical trajectories, so model/conflict counts are exact.
+The assertions below therefore encode defensible floors in the same
+spirit as ``bench_solver.py`` (see docs/PARALLEL.md for the full
 analysis):
 
 * every configuration reproduces the sequential front exactly;
 * archive sharing never enumerates more models than isolation at equal
-  worker count and scheduler;
-* the elastic scheduler needs fewer conflicts than static shares at
-  every (jobs, share) point on the hardest curated instance, by >= 1.2x
-  at 4 workers (measured ~1.4-1.6x);
-* wall time follows the work: stealing beats static at 4 workers on the
-  hardest instance, and the full elastic stack (stealing + sharing) is
-  >= 1.5x over the static/isolated baseline at 4 workers (measured
-  ~2.1x; the pre-PR scheduler capped near 1.7x via sharing alone);
+  worker count;
+* idle workers steal cubes at 4 workers on the hardest instance;
 * adaptive re-splitting triggers under a tight budget and stays exact.
 
 Per-worker statistics ride along in ``extra_info`` and in the
@@ -44,11 +37,6 @@ from repro.workloads.curated import curated
 LARGEST = "network_firewall"
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
-#: Floors, deliberately below the measured ratios so scheduler-neutral
-#: machine noise cannot flip them (measured values in BENCH_parallel.json).
-CONFLICT_FLOOR_4W = 1.2
-ELASTIC_WALL_FLOOR_4W = 1.5
-
 
 def _resplit_probe(budget):
     """Force re-splitting with a tight per-cube budget; exactness holds."""
@@ -57,7 +45,6 @@ def _resplit_probe(budget):
         jobs=2,
         split_depth=1,
         backend="inline",
-        schedule="stealing",
         chunk_conflicts=25,
         resplit_conflicts=50,
         conflict_limit=budget,
@@ -97,7 +84,7 @@ def test_parallel_speedup(benchmark, budget):
         assert sequential["jobs"] == 1
         isolated = {}
         for row in variants:
-            assert row["exact"], (name, row["jobs"], row["schedule"])
+            assert row["exact"], (name, row["jobs"], row["share"])
             # Exactness: identical front vectors in every configuration.
             assert row["front"] == sequential["front"], (name, row["jobs"])
             assert row["pareto"] == sequential["pareto"]
@@ -106,41 +93,18 @@ def test_parallel_speedup(benchmark, budget):
                 for worker in row["per_worker"]:
                     assert worker["models_enumerated"] >= 0
                     assert worker["wall_time"] >= 0
-            key = (row["jobs"], row["schedule"])
             if row["share"] == "no":
-                isolated[key] = row
+                isolated[row["jobs"]] = row
             elif row["share"] == "yes":
                 # Cooperative pruning never enumerates more models.
-                assert row["models"] <= isolated[key]["models"], (name, key)
+                assert row["models"] <= isolated[row["jobs"]]["models"], (
+                    name,
+                    row["jobs"],
+                )
 
-    firewall = {
-        (r["jobs"], r["schedule"], r["share"]): r
-        for r in by_instance[LARGEST]
-    }
-
-    # The elastic scheduler must do measurably less solver work than the
-    # static shares at 4 workers (deterministic counts, inline backend).
-    conflict_ratios = {}
+    firewall = {(r["jobs"], r["share"]): r for r in by_instance[LARGEST]}
     for share in ("no", "yes"):
-        static = firewall[(4, "static", share)]
-        elastic = firewall[(4, "stealing", share)]
-        ratio = static["conflicts"] / max(elastic["conflicts"], 1)
-        conflict_ratios[share] = round(ratio, 3)
-        assert ratio >= CONFLICT_FLOOR_4W, (
-            f"stealing/{share}: conflict reduction {ratio:.2f}x "
-            f"below floor {CONFLICT_FLOOR_4W}x"
-        )
-        assert elastic["steals"] > 0, "4-worker stealing run never stole"
-
-    # Wall time follows the work: the full elastic stack over the
-    # static/isolated baseline at 4 workers.
-    baseline = firewall[(4, "static", "no")]["time_s"]
-    elastic = firewall[(4, "stealing", "yes")]["time_s"]
-    elastic_x = round(baseline / elastic, 3)
-    assert elastic_x >= ELASTIC_WALL_FLOOR_4W, (
-        f"elastic stack speedup at 4 workers: {elastic_x}x "
-        f"(floor {ELASTIC_WALL_FLOOR_4W}x)"
-    )
+        assert firewall[(4, share)]["steals"] > 0, "4-worker run never stole"
 
     # Re-splitting under a tight budget actually triggers and stays exact.
     assert probe["resplits"] > 0
@@ -158,15 +122,6 @@ def test_parallel_speedup(benchmark, budget):
         "resplit_probe": {
             key: value for key, value in probe.items() if key != "front"
         },
-        "headline": {
-            "conflict_reduction_4w": conflict_ratios,
-            "elastic_stack_x_4w": elastic_x,
-            "floors": {
-                "conflict_reduction_4w": CONFLICT_FLOOR_4W,
-                "elastic_stack_x_4w": ELASTIC_WALL_FLOOR_4W,
-            },
-        },
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     benchmark.extra_info["rows"] = report["rows"]
-    benchmark.extra_info["headline"] = report["headline"]

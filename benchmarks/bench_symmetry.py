@@ -21,8 +21,8 @@ below are asserted; both are deliberately under the measured ratios so
 machine noise cannot flip them.
 
 Exactness rides along: the off/on fronts must be vector-identical,
-sequentially and at ``jobs=2`` with both schedulers (the CI
-``symmetry-equivalence`` job runs the full equivalence suite too).
+sequentially and at ``jobs=2`` (the CI symmetry suite runs the full
+equivalence tests too).
 """
 
 import json
@@ -102,23 +102,18 @@ def run_symmetry_comparison(budget):
                 "analysis_s": round(stats.symmetry_seconds, 6),
             }
         )
-    parallel_fronts = {}
-    broken = encode(spec, symmetry="on")
-    for schedule in ("static", "stealing"):
-        result = ParallelParetoExplorer(
-            broken,
-            jobs=2,
-            backend="inline",
-            schedule=schedule,
-            conflict_limit=budget,
-            validate_models=False,
-        ).run()
-        parallel_fronts[schedule] = result.vectors()
-    return rows, fronts, parallel_fronts
+    parallel_front = ParallelParetoExplorer(
+        encode(spec, symmetry="on"),
+        jobs=2,
+        backend="inline",
+        conflict_limit=budget,
+        validate_models=False,
+    ).run().vectors()
+    return rows, fronts, parallel_front
 
 
 def test_symmetry_reduction(benchmark, budget):
-    rows, fronts, parallel_fronts = benchmark.pedantic(
+    rows, fronts, parallel_front = benchmark.pedantic(
         run_symmetry_comparison,
         kwargs={"budget": budget * 10},
         rounds=1,
@@ -130,8 +125,7 @@ def test_symmetry_reduction(benchmark, budget):
 
     # Exactness: identical vector fronts in every configuration.
     assert fronts["on"] == fronts["off"]
-    for schedule, vectors in parallel_fronts.items():
-        assert vectors == fronts["off"], schedule
+    assert parallel_front == fronts["off"]
 
     # The platform group was found and compiled into constraints.
     assert on["group_order"] == 8
@@ -156,10 +150,7 @@ def test_symmetry_reduction(benchmark, budget):
         "instance": INSTANCE,
         "rows": rows,
         "front": [list(v) for v in fronts["off"]],
-        "parallel_front_equal": {
-            schedule: vectors == fronts["off"]
-            for schedule, vectors in parallel_fronts.items()
-        },
+        "parallel_front_equal": parallel_front == fronts["off"],
         "headline": {
             "feasible_model_reduction": model_x,
             "conflict_reduction": conflict_x,

@@ -273,15 +273,7 @@ class Control:
                 "(multi-shot grounding is not supported)"
             )
         if program is None:
-            text = "\n".join(self._parts)
-            if lint:
-                self._lint(text, lint)
-            program, hit = _ground_text_cached(text, cache, mode, domain_prune)
-            self.ground_cache_hit = hit
-            if not hit:
-                self.grounds += 1
-                if program.grounding is not None:
-                    self.grounding_seconds += program.grounding.seconds
+            program = self.instantiate(cache, mode, lint, domain_prune)
         self._shows = program.shows
         self._external_signatures = set(program.externals)
         self._ground_program = program
@@ -301,6 +293,32 @@ class Control:
             # the propagator to be known to the solver.
             solver.register_propagator(propagator)
             propagator.init(init)
+
+    def instantiate(
+        self,
+        cache: bool = True,
+        mode: str = "seminaive",
+        lint: object = False,
+        domain_prune: Optional[bool] = None,
+    ) -> GroundProgram:
+        """The grounding half of :meth:`ground`, without the translation.
+
+        Lints (opt-in) and grounds the accumulated text, records the
+        grounding and lint observability attributes, and returns the
+        artifact; a coordinator that ships the program to workers stops
+        here.
+        """
+        text = "\n".join(self._parts)
+        if lint:
+            self._lint(text, lint)
+        program, hit = _ground_text_cached(text, cache, mode, domain_prune)
+        self.ground_cache_hit = hit
+        if not hit:
+            self.grounds += 1
+            if program.grounding is not None:
+                self.grounding_seconds += program.grounding.seconds
+        self._ground_program = program
+        return program
 
     def _lint(self, text: str, lint: object) -> None:
         """Run the static analyzer over ``text`` (the ``lint=`` hook)."""

@@ -622,22 +622,17 @@ def fig10_parallel(
     jobs_list: Sequence[int] = (1, 2, 4),
     conflict_limit: Optional[int] = DEFAULT_BUDGET,
     backend: str = "inline",
-    schedules: Sequence[str] = ("static", "stealing"),
 ) -> Tuple[List[str], Rows]:
     """Fig. 10 (extension): parallel subspace workers + shared archive.
 
-    Wall times for 1/2/4 workers, both cube schedulers (fixed round-robin
-    shares vs. elastic work-stealing), with cross-worker archive sharing
-    on and off.  The suite may run on a single core, so the honest
-    headlines are the ablations at equal worker count: ``share_x``
-    (archive sharing turns the workers' pruning archives into one
-    cooperative bound, cutting models, conflicts, and wall time) and
-    ``sched_x`` (the elastic scheduler vs. static shares at the same
-    jobs/share point — stealing keeps workers off exhausted shares and
-    hypervolume ordering front-loads the pruning).  The front is
-    identical to the sequential explorer in every configuration (each row
-    carries it for the benchmark's shape checks); ``conflict_limit`` is
-    per worker.
+    Wall times for 1/2/4 workers with cross-worker archive sharing on
+    and off.  The suite may run on a single core, so the honest
+    headline is the ablation at equal worker count: ``share_x`` (archive
+    sharing turns the workers' pruning archives into one cooperative
+    bound, cutting models, conflicts, and wall time).  The front is
+    identical to the sequential explorer in every configuration (each
+    row carries it for the benchmark's shape checks); ``conflict_limit``
+    is per worker.
     """
     from repro.dse.parallel import ParallelParetoExplorer
     from repro.workloads.curated import curated
@@ -645,7 +640,6 @@ def fig10_parallel(
     columns = [
         "instance",
         "jobs",
-        "schedule",
         "share",
         "pareto",
         "models",
@@ -654,7 +648,6 @@ def fig10_parallel(
         "resplits",
         "time_s",
         "share_x",
-        "sched_x",
         "exact",
     ]
     rows: Rows = []
@@ -668,7 +661,6 @@ def fig10_parallel(
             {
                 "instance": name,
                 "jobs": 1,
-                "schedule": "-",
                 "share": "-",
                 "pareto": stats.pareto_points,
                 "models": stats.models_enumerated,
@@ -677,57 +669,44 @@ def fig10_parallel(
                 "resplits": 0,
                 "time_s": stats.wall_time,
                 "share_x": "-",
-                "sched_x": "-",
                 "exact": not stats.interrupted,
                 "front": reference.vectors(),
                 "per_worker": [],
             }
         )
         for jobs in (j for j in jobs_list if j > 1):
-            static_times: dict = {}
-            for schedule in schedules:
-                isolated_time = None
-                for share in (False, True):
-                    result = ParallelParetoExplorer(
-                        encode(spec),
-                        jobs=jobs,
-                        backend=backend,
-                        schedule=schedule,
-                        share_archive=share,
-                        conflict_limit=conflict_limit,
-                        validate_models=False,
-                    ).run()
-                    pstats = result.statistics
-                    if not share:
-                        isolated_time = pstats.wall_time
-                    if schedule == "static":
-                        static_times[share] = pstats.wall_time
-                    baseline = static_times.get(share)
-                    rows.append(
-                        {
-                            "instance": name,
-                            "jobs": jobs,
-                            "schedule": schedule,
-                            "share": "yes" if share else "no",
-                            "pareto": pstats.pareto_points,
-                            "models": pstats.models_enumerated,
-                            "conflicts": pstats.conflicts,
-                            "steals": pstats.steals,
-                            "resplits": pstats.resplits,
-                            "time_s": pstats.wall_time,
-                            "share_x": (
-                                round(isolated_time / pstats.wall_time, 2)
-                                if share
-                                else "-"
-                            ),
-                            "sched_x": (
-                                round(baseline / pstats.wall_time, 2)
-                                if schedule != "static" and baseline
-                                else "-"
-                            ),
-                            "exact": not pstats.interrupted,
-                            "front": result.vectors(),
-                            "per_worker": pstats.per_worker,
-                        }
-                    )
+            isolated_time = None
+            for share in (False, True):
+                result = ParallelParetoExplorer(
+                    encode(spec),
+                    jobs=jobs,
+                    backend=backend,
+                    share_archive=share,
+                    conflict_limit=conflict_limit,
+                    validate_models=False,
+                ).run()
+                pstats = result.statistics
+                if not share:
+                    isolated_time = pstats.wall_time
+                rows.append(
+                    {
+                        "instance": name,
+                        "jobs": jobs,
+                        "share": "yes" if share else "no",
+                        "pareto": pstats.pareto_points,
+                        "models": pstats.models_enumerated,
+                        "conflicts": pstats.conflicts,
+                        "steals": pstats.steals,
+                        "resplits": pstats.resplits,
+                        "time_s": pstats.wall_time,
+                        "share_x": (
+                            round(isolated_time / pstats.wall_time, 2)
+                            if share
+                            else "-"
+                        ),
+                        "exact": not pstats.interrupted,
+                        "front": result.vectors(),
+                        "per_worker": pstats.per_worker,
+                    }
+                )
     return columns, rows

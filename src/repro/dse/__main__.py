@@ -14,7 +14,8 @@ import sys
 from typing import List, Optional
 
 from repro.bench.render import render_table
-from repro.dse.explorer import ExactParetoExplorer
+from repro.dse.parallel import ParallelParetoExplorer
+from repro.dse.scheduler import DEFAULT_RESPLIT_CONFLICTS
 from repro.synthesis.encoding import encode
 from repro.synthesis.io import load_specification
 from repro.workloads import WorkloadConfig, generate_specification
@@ -55,7 +56,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="CDNL engine: flat array core (default) or the reference "
         "object core (differential oracle; see docs/SOLVER.md)",
     )
-    options.add_argument("--budget", type=int, default=None, help="conflict limit")
+    options.add_argument(
+        "--budget", type=int, default=None, help="conflict budget per worker"
+    )
     options.add_argument(
         "--latency-bound", type=int, default=None, help="hard deadline"
     )
@@ -110,7 +113,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs",
         type=int,
         default=1,
-        help="worker count; >1 switches to subspace-splitting workers",
+        help="worker count; >1 splits the design space into cubes",
     )
     par.add_argument(
         "--split-depth",
@@ -122,7 +125,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--chunk-conflicts",
         type=int,
         default=None,
-        help="conflicts per solver call between archive syncs (parallel only)",
+        help="conflicts per solver call between archive syncs (default: "
+        "200 with several workers, unchunked with one)",
     )
     par.add_argument(
         "--no-share",
@@ -136,25 +140,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="parallel backend (inline = deterministic in-process)",
     )
     par.add_argument(
-        "--schedule",
-        choices=("static", "stealing"),
-        default="stealing",
-        help="cube scheduler: fixed round-robin shares (static) or "
-        "elastic work-stealing with hypervolume-ordered queues (default)",
-    )
-    par.add_argument(
         "--resplit-budget",
         type=int,
-        default=None,
+        default=DEFAULT_RESPLIT_CONFLICTS,
         metavar="CONFLICTS",
         help="conflicts a cube may burn before it is split one binding "
-        "level deeper (stealing scheduler; 0 disables re-splitting)",
-    )
-    par.add_argument(
-        "--steal-order",
-        choices=("busiest", "roundrobin", "reverse"),
-        default="busiest",
-        help="victim selection policy for work stealing",
+        "level deeper (several workers; 0 disables re-splitting)",
     )
     args = parser.parse_args(argv)
 
@@ -220,41 +211,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         if lint_report.errors:
             print(f"lint: {lint_report.errors} error(s), aborting")
             return 1
-    if args.jobs > 1 or args.split_depth is not None:
-        from repro.dse.parallel import DEFAULT_CHUNK_CONFLICTS, ParallelParetoExplorer
-        from repro.dse.scheduler import DEFAULT_RESPLIT_CONFLICTS
-
-        resplit = args.resplit_budget
-        if resplit is None:
-            resplit = DEFAULT_RESPLIT_CONFLICTS
-        explorer = ParallelParetoExplorer(
-            instance,
-            jobs=max(args.jobs, 1),
-            split_depth=args.split_depth,
-            backend=args.backend,
-            schedule=args.schedule,
-            steal_order=args.steal_order,
-            resplit_conflicts=resplit or None,
-            chunk_conflicts=args.chunk_conflicts or DEFAULT_CHUNK_CONFLICTS,
-            share_archive=not args.no_share,
-            conflict_limit=args.budget,
-            fixed_bindings=pins,
-            archive=args.archive,
-            epsilon=args.epsilon,
-            objective_phases=args.heuristics,
-            solver_core=args.solver_core,
-        )
-    else:
-        explorer = ExactParetoExplorer(
-            instance,
-            archive=args.archive,
-            epsilon=args.epsilon,
-            conflict_limit=args.budget,
-            objective_phases=args.heuristics,
-            fixed_bindings=pins,
-            solver_core=args.solver_core,
-        )
-    result = explorer.run()
+    chunk = {"chunk_conflicts": args.chunk_conflicts} if args.chunk_conflicts else {}
+    result = ParallelParetoExplorer(
+        instance,
+        jobs=max(args.jobs, 1),
+        split_depth=args.split_depth,
+        backend=args.backend,
+        resplit_conflicts=args.resplit_budget or None,
+        share_archive=not args.no_share,
+        conflict_limit=args.budget,
+        fixed_bindings=pins,
+        archive=args.archive,
+        epsilon=args.epsilon,
+        objective_phases=args.heuristics,
+        solver_core=args.solver_core,
+        **chunk,
+    ).run()
     stats = result.statistics
     if lint_report is not None:
         stats.lint_seconds = lint_report.seconds
@@ -327,23 +299,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"lint: {stats.lint_errors} error(s), {stats.lint_warnings} "
             f"warning(s), {stats.lint_infos} info(s), {stats.lint_seconds:.3f}s"
         )
-    if stats.per_worker:
+    if len(stats.per_worker) > 1:
         print(
-            f"scheduler: {args.schedule}, {stats.cubes_executed} cubes "
+            f"scheduler: stealing, {stats.cubes_executed} cubes "
             f"executed, {stats.steals} steals, {stats.resplits} resplits, "
             f"{stats.archive_delta_bytes} delta bytes, "
             f"{stats.archive_dedup_skips} dedup skips"
         )
-    for worker in stats.per_worker:
-        print(
-            f"  worker {worker['worker']}: {worker['cubes']} cubes, "
-            f"{worker.get('steals', 0)} steals, "
-            f"{worker['models_enumerated']} models, "
-            f"{worker['conflicts']} conflicts, "
-            f"{worker['injected']} foreign points, "
-            f"{worker.get('delta_bytes', 0)} delta bytes, "
-            f"{worker['wall_time']:.2f}s"
-        )
+        for worker in stats.per_worker:
+            print(
+                f"  worker {worker['worker']}: {worker['cubes']} cubes, "
+                f"{worker['steals']} steals, "
+                f"{worker['models_enumerated']} models, "
+                f"{worker['conflicts']} conflicts, "
+                f"{worker['injected']} foreign points, "
+                f"{worker['delta_bytes']} delta bytes, "
+                f"{worker['wall_time']:.2f}s"
+            )
     if args.output:
         result.save(args.output)
         print(f"front written to {args.output}")

@@ -26,8 +26,7 @@ assignments whose objective lower bound exceeds a (mutable) upper bound.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,8 +36,9 @@ from repro.asp.solver import Solver
 from repro.synthesis.encoding import EncodedInstance, ObjectiveSpec, encode
 from repro.synthesis.model import Specification
 from repro.synthesis.solution import Implementation, decode_model, validate
-from repro.dse.pareto import ListArchive
+from repro.dse.pareto import ListArchive, non_dominated_union
 from repro.dse.quadtree import QuadTreeArchive
+from repro.dse.scheduler import ArchiveDelta, CubeScheduler
 from repro.theory.difference import DifferenceLogicPropagator
 from repro.theory.linear import LinearPropagator
 from repro.theory.objective import IntVarObjective, Objective, PseudoBooleanObjective
@@ -314,10 +314,11 @@ class DseStatistics:
     steals: int = 0
     #: Over-budget cubes split one binding level deeper and re-queued.
     resplits: int = 0
-    #: Cubes actually executed across all workers (>= the initial cube
-    #: count when re-splitting fired; 0 for sequential runs).
+    #: Cubes executed across all workers: 1 for a sequential run (its
+    #: root cube), >= the initial cube count when re-splitting fired.
     cubes_executed: int = 0
-    #: Bytes of serialized archive deltas published by the workers.
+    #: Bytes of serialized archive deltas published by the workers (0
+    #: for a sequential run, which has no one to publish to).
     archive_delta_bytes: int = 0
     #: Foreign points skipped by the injection hash-dedup (points the
     #: local archive had already seen; skipping avoids re-scanning).
@@ -358,8 +359,49 @@ class DseStatistics:
     domain_rules_skipped: int = 0
     #: Wall seconds of domain analysis (encode-time + ground-time).
     domain_seconds: float = 0.0
-    #: Per-worker breakdowns (parallel exploration only; empty otherwise).
+    #: One breakdown per worker (a sequential run has one worker): the
+    #: keys of ``WORKER_SUMS`` plus ``worker``, ``injected``,
+    #: ``interrupted``, ``steals``, ``pareto_points_local``, ``grounds``,
+    #: ``grounding_seconds``, ``solver_core`` and ``wall_time`` (seconds
+    #: spent in solver calls).
     per_worker: List[Dict[str, object]] = field(default_factory=list)
+
+
+#: ``per_worker`` keys a run sums into its statistics, mapped to the
+#: :class:`DseStatistics` field each one adds to.
+WORKER_SUMS = {
+    **{
+        name: name
+        for name in (
+            "models_enumerated",
+            "conflicts",
+            "decisions",
+            "propagations",
+            "restarts",
+            "clause_db_bytes",
+            "pruned_partial",
+            "pruned_total",
+            "archive_comparisons",
+            "time_boolean_propagation",
+            "time_theory_propagation",
+            "time_dominance",
+        )
+    },
+    "cubes": "cubes_executed",
+    "delta_bytes": "archive_delta_bytes",
+    "dedup_skips": "archive_dedup_skips",
+}
+
+#: Instance summaries copied into ``symmetry_*``/``domain_*`` statistics.
+_SYMMETRY_FIELDS = (
+    "mode", "applied", "generators", "order", "orbits", "constraints", "seconds"
+)
+_DOMAIN_FIELDS = ("mode", "applied", "predicates", "widenings", "seconds")
+
+#: Points a worker buffers before publishing them as one archive delta;
+#: a smaller batch goes out after the worker's next solver call that
+#: ends without a model (a spent chunk, a closed cube or a spent budget).
+DELTA_BATCH = 8
 
 
 @dataclass
@@ -392,54 +434,7 @@ class DseResult:
                 }
                 for point in self.front
             ],
-            "statistics": {
-                "models_enumerated": self.statistics.models_enumerated,
-                "pareto_points": self.statistics.pareto_points,
-                "pruned_partial": self.statistics.pruned_partial,
-                "pruned_total": self.statistics.pruned_total,
-                "conflicts": self.statistics.conflicts,
-                "decisions": self.statistics.decisions,
-                "propagations": self.statistics.propagations,
-                "restarts": self.statistics.restarts,
-                "clause_db_bytes": self.statistics.clause_db_bytes,
-                "solver_core": self.statistics.solver_core,
-                "archive_comparisons": self.statistics.archive_comparisons,
-                "wall_time": self.statistics.wall_time,
-                "interrupted": self.statistics.interrupted,
-                "epsilon": self.statistics.epsilon,
-                "time_boolean_propagation": self.statistics.time_boolean_propagation,
-                "time_theory_propagation": self.statistics.time_theory_propagation,
-                "time_dominance": self.statistics.time_dominance,
-                "grounding_seconds": self.statistics.grounding_seconds,
-                "instantiations": self.statistics.instantiations,
-                "delta_rounds": self.statistics.delta_rounds,
-                "ground_cache_hit": self.statistics.ground_cache_hit,
-                "grounds": self.statistics.grounds,
-                "steals": self.statistics.steals,
-                "resplits": self.statistics.resplits,
-                "cubes_executed": self.statistics.cubes_executed,
-                "archive_delta_bytes": self.statistics.archive_delta_bytes,
-                "archive_dedup_skips": self.statistics.archive_dedup_skips,
-                "lint_seconds": self.statistics.lint_seconds,
-                "lint_errors": self.statistics.lint_errors,
-                "lint_warnings": self.statistics.lint_warnings,
-                "lint_infos": self.statistics.lint_infos,
-                "symmetry_mode": self.statistics.symmetry_mode,
-                "symmetry_applied": self.statistics.symmetry_applied,
-                "symmetry_generators": self.statistics.symmetry_generators,
-                "symmetry_order": self.statistics.symmetry_order,
-                "symmetry_orbits": self.statistics.symmetry_orbits,
-                "symmetry_constraints": self.statistics.symmetry_constraints,
-                "symmetry_seconds": self.statistics.symmetry_seconds,
-                "domain_mode": self.statistics.domain_mode,
-                "domain_applied": self.statistics.domain_applied,
-                "domain_predicates": self.statistics.domain_predicates,
-                "domain_widenings": self.statistics.domain_widenings,
-                "domain_pruned": self.statistics.domain_pruned,
-                "domain_rules_skipped": self.statistics.domain_rules_skipped,
-                "domain_seconds": self.statistics.domain_seconds,
-                "per_worker": list(self.statistics.per_worker),
-            },
+            "statistics": asdict(self.statistics),
         }
 
     def save(self, path) -> None:
@@ -450,8 +445,38 @@ class DseResult:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
+def check_pins(instance: EncodedInstance, fixed_bindings) -> None:
+    """Reject pinned bindings on an instance with lex-leader constraints.
+
+    Guiding-path cubes are fine (they partition the full space, so every
+    orbit's lex-minimal representative stays reachable) but a user pin
+    can exclude it and lose front points.
+    """
+    symmetry = getattr(instance, "symmetry", None)
+    if (
+        fixed_bindings
+        and symmetry is not None
+        and symmetry.applied
+        and symmetry.constraints > 0
+    ):
+        raise ValueError(
+            "fixed_bindings cannot be combined with an instance that "
+            "carries lex-leader symmetry constraints: a pin may exclude "
+            "the orbit's lex-minimal representative and lose front "
+            "points; re-encode with symmetry='off' to pin bindings"
+        )
+
+
 class ExactParetoExplorer:
-    """The paper's exact multi-objective DSE driver."""
+    """The paper's exact multi-objective DSE driver.
+
+    It is also the one kind of worker of the exploration loop
+    (:func:`drive`): :meth:`begin` enters a cube of bindings,
+    :meth:`step` advances it by one budgeted solver call, and
+    :meth:`report` returns the worker's statistics.  A sequential
+    :meth:`run` is the loop with this explorer as its only worker and
+    ``fixed_bindings`` as its only cube.
+    """
 
     def __init__(
         self,
@@ -468,8 +493,16 @@ class ExactParetoExplorer:
         ground_cache: bool = True,
         lint: object = False,
         solver_core: Optional[str] = None,
+        chunk_conflicts: Optional[int] = None,
     ):
         """Configure the explorer.
+
+        ``conflict_limit`` caps the conflicts this explorer spends in one
+        run; a run that hits it ends ``interrupted`` with the points found
+        so far.  ``chunk_conflicts`` caps each solver call, so the loop
+        gets control back at least that often (to poll ``should_stop`` or
+        exchange archive deltas); the search resumes where it stopped.
+        Every call gets ``min(chunk_conflicts, remaining budget)``.
 
         ``epsilon > 0`` switches to epsilon-dominance pruning (the
         CODES+ISSS'18 approximation: the result is an additive-epsilon
@@ -525,7 +558,7 @@ class ExactParetoExplorer:
             partial_pruning=partial_pruning,
         )
         self.control = Control(solver_core=solver_core)
-        self.control.conflict_limit = conflict_limit
+        self.control.conflict_limit = chunk_conflicts
         self.control.add(instance.program)
         self.control.register_propagator(self.linear)
         if use_difference_logic:
@@ -534,19 +567,9 @@ class ExactParetoExplorer:
         self._validate_models = validate_models
         self._objective_phases = objective_phases
         self._fixed_bindings = dict(fixed_bindings or {})
-        symmetry = getattr(instance, "symmetry", None)
-        if (
-            self._fixed_bindings
-            and symmetry is not None
-            and symmetry.applied
-            and symmetry.constraints > 0
-        ):
-            raise ValueError(
-                "fixed_bindings cannot be combined with an instance that "
-                "carries lex-leader symmetry constraints: a pin may exclude "
-                "the orbit's lex-minimal representative and lose front "
-                "points; re-encode with symmetry='off' to pin bindings"
-            )
+        check_pins(instance, self._fixed_bindings)
+        self._conflict_limit = conflict_limit
+        self._chunk_conflicts = chunk_conflicts
         self._ground_artifact = ground_program
         self._ground_cache = ground_cache
         self._lint = lint
@@ -560,6 +583,19 @@ class ExactParetoExplorer:
         self._new_points: List[ParetoPoint] = []
         self._known_vectors: set = set()
         self.dedup_skips = 0
+        #: Foreign points the archive accepted (see inject_points).
+        self.injected = 0
+        #: Bytes of the archive deltas this worker published.
+        self.delta_bytes = 0
+        # Cube state (begin/step/abandon) and the counters of one run.
+        self.current: Optional[Dict[str, str]] = None
+        self._assumptions: list = []
+        self._cube_mark = 0
+        self._run_mark = 0
+        self._models_mark = 0
+        self.cubes_executed = 0
+        self.interrupted = False
+        self.solve_seconds = 0.0
 
     def ground(self) -> None:
         """Ground the instance (idempotent; run() calls this lazily).
@@ -629,10 +665,11 @@ class ExactParetoExplorer:
 
         * ``("model", point)`` — a new non-dominated point was found (and
           added to the archive),
-        * ``("interrupted", None)`` — the conflict budget of the call ran
-          out; calling again resumes the search (learned clauses and the
-          archive persist), which is how the parallel workers interleave
-          archive synchronization with long dominance proofs,
+        * ``("interrupted", None)`` — the call's conflict limit (see
+          ``chunk_conflicts``) ran out; calling again resumes the search
+          (learned clauses and the archive persist), which is how the
+          parallel workers interleave archive synchronization with long
+          dominance proofs,
         * ``("exhausted", None)`` — the (sub)space holds no further
           non-dominated points.
         """
@@ -678,6 +715,7 @@ class ExactParetoExplorer:
             self.control.solver.requeue_watch(
                 self.control.translation.true_lit, self.dominance
             )
+        self.injected += accepted
         return accepted
 
     def drain_new_points(self) -> List[ParetoPoint]:
@@ -705,7 +743,7 @@ class ExactParetoExplorer:
         ]
 
     def conflict_mark(self) -> int:
-        """Cumulative conflict count — the budget hook for re-splitting."""
+        """Cumulative conflict count — the hook of both conflict budgets."""
         if self.control._solver is None:  # nothing solved yet
             return 0
         return self.control.solver.stats.conflicts
@@ -714,125 +752,141 @@ class ExactParetoExplorer:
         """Current archive contents, sorted by vector."""
         return sorted(self.dominance.archive, key=lambda item: item[0])
 
-    def collect_statistics(self, stats: Optional[DseStatistics] = None) -> DseStatistics:
-        """Fill search-effort counters from the solver and propagators."""
-        if stats is None:
-            stats = DseStatistics()
-        solver = self.control.solver
-        stats.epsilon = self.epsilon
-        stats.models_enumerated = self.models_enumerated
-        stats.conflicts = solver.stats.conflicts
-        stats.decisions = solver.stats.decisions
-        stats.propagations = solver.stats.propagations
-        stats.restarts = solver.stats.restarts
-        stats.clause_db_bytes = solver.clause_db_bytes()
-        stats.solver_core = solver.stats.core
-        stats.pruned_partial = self.dominance.pruned_partial
-        stats.pruned_total = self.dominance.pruned_total
-        stats.archive_comparisons = self.dominance.archive.comparisons
-        stats.time_boolean_propagation = solver.stats.time_boolean
-        stats.time_theory_propagation = solver.stats.time_theory
-        stats.time_dominance = self.dominance.prune_time
-        stats.archive_dedup_skips = self.dedup_skips
-        stats.grounding_seconds = self.control.grounding_seconds
-        stats.ground_cache_hit = self.control.ground_cache_hit
-        stats.grounds = self.control.grounds
-        grounding = self.control.ground_program.grounding
-        if grounding is not None:
-            stats.instantiations = grounding.instantiations
-            stats.delta_rounds = grounding.delta_rounds
-            if grounding.domain_prune:
-                stats.domain_mode = stats.domain_mode or "prune"
-                stats.domain_predicates = max(
-                    stats.domain_predicates, grounding.domain_predicates
-                )
-                stats.domain_widenings = max(
-                    stats.domain_widenings, grounding.domain_widenings
-                )
-                stats.domain_pruned = grounding.pruned_instances
-                stats.domain_rules_skipped = grounding.rules_skipped
-                stats.domain_seconds += grounding.domain_seconds
-        stats.lint_seconds = self.control.lint_seconds
-        report = self.control.lint_report
-        if report is not None:
-            stats.lint_errors = report.errors
-            stats.lint_warnings = report.warnings
-            stats.lint_infos = report.infos
-        symmetry = getattr(self.instance, "symmetry", None)
-        if symmetry is not None:
-            stats.symmetry_mode = symmetry.mode
-            stats.symmetry_applied = symmetry.applied
-            stats.symmetry_generators = symmetry.generators
-            stats.symmetry_order = symmetry.order
-            stats.symmetry_orbits = symmetry.orbits
-            stats.symmetry_constraints = symmetry.constraints
-            stats.symmetry_seconds = symmetry.seconds
-        domain = getattr(self.instance, "domain", None)
-        if domain is not None:
-            stats.domain_mode = domain.mode
-            stats.domain_applied = domain.applied
-            stats.domain_predicates = max(
-                stats.domain_predicates, domain.predicates
-            )
-            stats.domain_widenings = max(
-                stats.domain_widenings, domain.widenings
-            )
-            stats.domain_seconds += domain.seconds
-        return stats
+    # -- the worker side of the exploration loop ------------------------------
 
-    def run(
-        self,
-        on_point=None,
-        should_stop=None,
-        resume_on_interrupt: bool = False,
-    ) -> DseResult:
-        """Enumerate the exact Pareto front.
+    def begin(self, cube: Dict[str, str]) -> None:
+        """Enter ``cube``: the following steps search its bindings only."""
+        self.current = dict(cube)
+        self._assumptions = self.bind_assumptions(self.current)
+        self._cube_mark = self.conflict_mark()
+        self.cubes_executed += 1
 
-        ``on_point`` is the anytime snapshot hook: it is called with
-        every newly enumerated :class:`ParetoPoint` the moment the
-        archive accepts it, so a serving layer can stream front
-        snapshots while the search refines (the paper's dominance
-        propagator tightens the front incrementally; the hook exposes
-        exactly those increments).
+    def cube_conflicts(self) -> int:
+        """Conflicts spent on the current cube (the re-split budget)."""
+        return self.conflict_mark() - self._cube_mark
 
-        ``should_stop`` is polled between solver calls; returning a
-        truthy value ends the run early with ``interrupted=True``
-        statistics and the best front found so far — the cooperative
-        cancellation/timeout primitive of ``repro.serve``.
+    def abandon(self) -> Dict[str, str]:
+        """Hand the current cube back (for the scheduler to re-split)."""
+        cube, self.current = self.current, None
+        assert cube is not None
+        return cube
 
-        ``resume_on_interrupt=True`` reinterprets ``conflict_limit`` as
-        a *chunk* size instead of a total budget: an interrupted solver
-        call is simply resumed (learned clauses and the archive
-        persist), so ``should_stop`` gets a look-in at least every
-        ``conflict_limit`` conflicts even deep inside an UNSAT proof.
+    def cancel(self) -> None:
+        """Drop the current cube mid-proof (cooperative cancellation)."""
+        if self.current is not None:
+            self.interrupted = True
+            self.current = None
+
+    def step(self) -> Tuple[str, Optional[ParetoPoint]]:
+        """Advance the current cube by one solver call.
+
+        The call gets ``min(chunk_conflicts, remaining budget)``
+        conflicts.  Returns ``("model", point)`` for a new Pareto point,
+        ``("chunk", None)`` when the call's slice ran out (call again),
+        ``("cube_done", None)`` when the cube holds no further points, or
+        ``("halt", None)`` when the run's ``conflict_limit`` is spent.
+        """
+        assert self.current is not None
+        left = self._budget_left()
+        if left is None or left > 0:
+            chunk = self._chunk_conflicts
+            if left is not None and (chunk is None or left < chunk):
+                chunk = left
+            self.control.conflict_limit = chunk
+            started = perf_counter()
+            status, point = self.solve_step(self._assumptions)
+            self.solve_seconds += perf_counter() - started
+            if status == "model":
+                return status, point
+            if status == "exhausted":
+                self.current = None
+                return "cube_done", None
+            left = self._budget_left()
+            if left is None or left > 0:
+                return "chunk", None
+        self.interrupted = True
+        self.current = None
+        return "halt", None
+
+    def _budget_left(self) -> Optional[int]:
+        if self._conflict_limit is None:
+            return None
+        return self._conflict_limit - (self.conflict_mark() - self._run_mark)
+
+    def report(self, worker: int = 0) -> Dict[str, object]:
+        """This worker's ``per_worker`` statistics entry for the run.
+
+        Model counts are per run; solver counters are cumulative, so
+        they include earlier runs of the same explorer.
         """
         self.ground()
-        stats = DseStatistics()
-        started = time.perf_counter()
-        models_before = self.models_enumerated
-        assumptions = self.bind_assumptions(self._fixed_bindings)
-        while True:
-            if should_stop is not None and should_stop():
-                stats.interrupted = True
-                break
-            status, point = self.solve_step(assumptions)
-            if status == "model":
-                if on_point is not None and point is not None:
-                    on_point(point)
-                continue
-            if status == "interrupted" and resume_on_interrupt:
-                continue
-            stats.interrupted = status == "interrupted"
-            break
-        self.collect_statistics(stats)
-        # Per-run model count (run() may be called again on an exhausted
-        # explorer; solver counters stay cumulative like before).
-        stats.models_enumerated = self.models_enumerated - models_before
-        stats.wall_time = time.perf_counter() - started
-        final = self.front()
-        stats.pareto_points = len(final)
-        points = [ParetoPoint(vector, payload) for vector, payload in final]
-        return DseResult(self.objective_names, points, stats)
+        solver = self.control.solver
+        return {
+            "worker": worker,
+            "cubes": self.cubes_executed,
+            "injected": self.injected,
+            "interrupted": self.interrupted,
+            "delta_bytes": self.delta_bytes,
+            "dedup_skips": self.dedup_skips,
+            "models_enumerated": self.models_enumerated - self._models_mark,
+            "pareto_points_local": len(self.local_front()),
+            "conflicts": solver.stats.conflicts,
+            "decisions": solver.stats.decisions,
+            "propagations": solver.stats.propagations,
+            "restarts": solver.stats.restarts,
+            "clause_db_bytes": solver.clause_db_bytes(),
+            "solver_core": solver.stats.core,
+            "pruned_partial": self.dominance.pruned_partial,
+            "pruned_total": self.dominance.pruned_total,
+            "archive_comparisons": self.dominance.archive.comparisons,
+            "time_boolean_propagation": solver.stats.time_boolean,
+            "time_theory_propagation": solver.stats.time_theory,
+            "time_dominance": self.dominance.prune_time,
+            "grounds": self.control.grounds,
+            "grounding_seconds": self.control.grounding_seconds,
+            "wall_time": self.solve_seconds,
+        }
+
+    def run(self, on_points=None, should_stop=None) -> DseResult:
+        """Enumerate the exact Pareto front.
+
+        The explorer drives itself through the exploration loop
+        (:func:`drive`) as its only worker over one cube, its
+        ``fixed_bindings``: solve, archive the new point, let the
+        dominance propagator prune, and repeat until the cube is
+        exhausted.
+
+        ``on_points`` is the anytime snapshot hook: it is called with
+        each batch of newly enumerated objective vectors, so a serving
+        layer can stream front snapshots while the search refines (the
+        paper's dominance propagator tightens the front incrementally;
+        the hook exposes exactly those increments).
+
+        ``should_stop`` is polled before every solver call; returning a
+        truthy value ends the run early with ``interrupted=True``
+        statistics and the best front found so far — the cooperative
+        cancellation/timeout primitive of ``repro.serve``.  Set
+        ``chunk_conflicts`` to bound how long one call may run.
+        """
+        self.ground()
+        started = perf_counter()
+        self._run_mark = self.conflict_mark()
+        self._models_mark = self.models_enumerated
+        self.cubes_executed = 0
+        self.interrupted = False
+        scheduler = CubeScheduler([self._fixed_bindings], 1)
+        cancelled = drive(
+            [self], scheduler, on_points=on_points, should_stop=should_stop
+        )
+        return merge_run(
+            self.instance,
+            self.control,
+            scheduler,
+            [(self.local_front(), self.report())],
+            cancelled,
+            perf_counter() - started,
+            self.epsilon,
+        )
 
     def _apply_objective_phases(self) -> None:
         """Objective-aware decision heuristics (Andres et al., LPNMR'15).
@@ -859,6 +913,157 @@ class ExactParetoExplorer:
             solver.set_initial_activity(var, 1.0 + weight / heaviest)
 
 
+def drive(
+    workers: Sequence[ExactParetoExplorer],
+    scheduler: CubeScheduler,
+    share_archive: bool = True,
+    resplit_conflicts: Optional[int] = None,
+    on_points=None,
+    should_stop=None,
+) -> bool:
+    """The exploration loop over in-process workers; True when cancelled.
+
+    Workers take cubes from ``scheduler`` and are stepped round-robin,
+    one solver call at a time, until every cube is exhausted or every
+    worker has spent its conflict budget.  New points are buffered per
+    worker and published in batches: to the scheduler's priorities, to
+    ``on_points``, and (with ``share_archive``) into every other
+    worker's archive before its next call.  A cube that spends
+    ``resplit_conflicts`` without closing is handed back and split one
+    binding level deeper.  ``should_stop`` is polled before every round;
+    a truthy value flushes the buffers and drops every cube.
+    """
+    jobs = len(workers)
+    pending: List[List[Tuple[int, ...]]] = [[] for _worker in workers]
+    buffers: List[List[Tuple[int, ...]]] = [[] for _worker in workers]
+    halted = set()
+
+    def flush(wid: int) -> None:
+        batch = buffers[wid]
+        if not batch:
+            return
+        if jobs > 1:
+            # Serialize even inline so archive_delta_bytes measures the
+            # real wire cost of the protocol.
+            workers[wid].delta_bytes += len(ArchiveDelta(batch).to_bytes())
+        scheduler.observe(batch)
+        if on_points is not None:
+            on_points(list(batch))
+        if share_archive:
+            for other in range(jobs):
+                if other != wid and other not in halted:
+                    pending[other].extend(batch)
+        buffers[wid] = []
+
+    for wid, worker in enumerate(workers):
+        cube = scheduler.next_cube(wid)
+        if cube is not None:
+            worker.begin(cube)
+    while True:
+        if should_stop is not None and should_stop():
+            for wid, worker in enumerate(workers):
+                flush(wid)
+                worker.cancel()
+            return True
+        progressed = False
+        for wid, worker in enumerate(workers):
+            if wid in halted:
+                continue
+            if pending[wid]:
+                worker.inject_points((vector, None) for vector in pending[wid])
+                pending[wid] = []
+            if worker.current is None:
+                cube = scheduler.next_cube(wid)
+                if cube is None:
+                    continue
+                worker.begin(cube)
+            progressed = True
+            status, point = worker.step()
+            if status == "model":
+                buffers[wid].append(point.vector)
+                if len(buffers[wid]) < DELTA_BATCH:
+                    continue
+            flush(wid)
+            if status == "halt":
+                halted.add(wid)
+            elif (
+                status == "chunk"
+                and resplit_conflicts
+                and worker.cube_conflicts() >= resplit_conflicts
+                and scheduler.splittable(worker.current)
+            ):
+                scheduler.resplit(wid, worker.abandon())
+        if not progressed:
+            return False
+
+
+def merge_run(
+    instance: EncodedInstance,
+    grounder: Control,
+    scheduler: CubeScheduler,
+    reports: Sequence[Tuple[List[Tuple[Tuple[int, ...], object]], Dict[str, object]]],
+    cancelled: bool,
+    wall_time: float,
+    epsilon: int = 0,
+) -> DseResult:
+    """The run's result: merged worker fronts plus its statistics.
+
+    ``reports`` holds one ``(local front, per_worker entry)`` pair per
+    worker, in worker order.  The front is the non-dominated union of
+    the local fronts.  Instance-level statistics (symmetry, domain
+    analysis, grounding, lint) are filled once, from the instance and
+    from ``grounder``, the :class:`Control` that ground the program;
+    worker statistics are the sums of the ``per_worker`` entries.
+    """
+    merged = non_dominated_union(*(front for front, _entry in reports))
+    stats = DseStatistics(
+        wall_time=wall_time,
+        interrupted=cancelled,
+        epsilon=epsilon,
+        pareto_points=len(merged),
+        steals=sum(scheduler.steals),
+        resplits=scheduler.resplits,
+    )
+    summaries = (
+        ("symmetry", getattr(instance, "symmetry", None), _SYMMETRY_FIELDS),
+        ("domain", getattr(instance, "domain", None), _DOMAIN_FIELDS),
+        ("lint", grounder.lint_report, ("errors", "warnings", "infos")),
+    )
+    for prefix, summary, names in summaries:
+        if summary is not None:
+            for name in names:
+                setattr(stats, f"{prefix}_{name}", getattr(summary, name))
+    stats.lint_seconds = grounder.lint_seconds
+    stats.grounds = grounder.grounds
+    stats.ground_cache_hit = grounder.ground_cache_hit
+    stats.grounding_seconds = grounder.grounding_seconds
+    grounding = grounder.ground_program.grounding
+    if grounding is not None:
+        stats.instantiations = grounding.instantiations
+        stats.delta_rounds = grounding.delta_rounds
+        if grounding.domain_prune:
+            stats.domain_mode = stats.domain_mode or "prune"
+            stats.domain_predicates = max(
+                stats.domain_predicates, grounding.domain_predicates
+            )
+            stats.domain_widenings = max(
+                stats.domain_widenings, grounding.domain_widenings
+            )
+            stats.domain_pruned = grounding.pruned_instances
+            stats.domain_rules_skipped = grounding.rules_skipped
+            stats.domain_seconds += grounding.domain_seconds
+    for _front, entry in reports:
+        entry["steals"] = scheduler.steals[entry["worker"]]
+        for key, name in WORKER_SUMS.items():
+            setattr(stats, name, getattr(stats, name) + entry[key])
+        stats.interrupted = stats.interrupted or entry["interrupted"]
+        stats.solver_core = entry["solver_core"]
+        stats.per_worker.append(entry)
+    names = tuple(objective.name for objective in instance.objectives)
+    points = [ParetoPoint(tuple(vector), payload) for vector, payload in merged]
+    return DseResult(names, points, stats)
+
+
 def explore(
     spec: Specification,
     objectives: Sequence[str] = ("latency", "energy", "cost"),
@@ -870,9 +1075,11 @@ def explore(
 ) -> DseResult:
     """Convenience one-call API: encode and explore ``spec``.
 
-    ``jobs > 1`` (or an explicit ``split_depth``) switches to the
-    subspace-splitting parallel explorer; the front is identical either
-    way (see :mod:`repro.dse.parallel`).
+    Builds a :class:`~repro.dse.parallel.ParallelParetoExplorer` for
+    every ``jobs`` value; one job is the sequential explorer, and the
+    front is identical either way (see :mod:`repro.dse.parallel`).
+    Remaining keyword arguments configure the workers (see
+    :class:`ExactParetoExplorer`).
 
     ``symmetry`` is forwarded to :func:`~repro.synthesis.encoding.encode`
     (``"on"``/``"auto"`` add lex-leader platform symmetry breaking; the
@@ -881,13 +1088,11 @@ def explore(
     theory interval store with statically inferred objective bounds
     (the front is unchanged — see docs/DOMAINS.md).
     """
+    from repro.dse.parallel import ParallelParetoExplorer
+
     instance = encode(
         spec, objectives=objectives, symmetry=symmetry, domain_bounds=domain_bounds
     )
-    if jobs > 1 or split_depth is not None:
-        from repro.dse.parallel import ParallelParetoExplorer
-
-        return ParallelParetoExplorer(
-            instance, jobs=jobs, split_depth=split_depth, **kwargs
-        ).run()
-    return ExactParetoExplorer(instance, **kwargs).run()
+    return ParallelParetoExplorer(
+        instance, jobs=jobs, split_depth=split_depth, **kwargs
+    ).run()

@@ -1,8 +1,9 @@
 """Parallel exact Pareto enumeration: subspace splitting + shared archive.
 
 The sequential :class:`~repro.dse.explorer.ExactParetoExplorer` already
-enumerates the exact front; this module splits the *design space* into
-disjoint subspaces and explores them with cooperating workers:
+enumerates the exact front; it is the one-worker, one-cube case of the
+exploration loop this module scales out.  The design space is split
+into disjoint subspaces explored by cooperating workers:
 
 1. **Guiding-path partition** — the encoding introduces an exactly-one
    ``bind(T, R)`` choice per task, so fixing the bindings of the first
@@ -16,15 +17,14 @@ disjoint subspaces and explores them with cooperating workers:
    :class:`~repro.dse.scheduler.CubeScheduler`: idle workers steal from
    the busiest deque, queues are ordered by estimated hypervolume
    contribution against the current archive, and cubes that exceed a
-   conflict budget are split one binding level deeper and re-queued
-   (``schedule="stealing"``, the default).  ``schedule="static"``
-   restores the original fixed round-robin shares.
+   conflict budget are split one binding level deeper and re-queued.
 
-3. **Workers** — each worker reuses the parent's ground program and
-   explores the cubes it is handed through assumption-based incremental
-   solving; learned clauses, dominance-pruning clauses, and the Pareto
-   archive all remain sound across cubes because they are consequences
-   of the (cube independent) program plus archive points.
+3. **Workers** — each worker is an :class:`ExactParetoExplorer` that
+   reuses the parent's ground program and explores the cubes it is
+   handed through assumption-based incremental solving; learned clauses,
+   dominance-pruning clauses, and the Pareto archive all remain sound
+   across cubes because they are consequences of the (cube independent)
+   program plus archive points.
 
 4. **Archive deltas** — workers publish incremental batches of new
    non-dominated points (:class:`~repro.dse.scheduler.ArchiveDelta`, a
@@ -45,7 +45,7 @@ Exactness therefore does not depend on scheduling: stealing, priority
 reordering, re-splitting, and delta injection may only change *when*
 pruning happens, never *what* the merged front contains, so the merged
 front is bit-for-bit the sequential front for any worker count, split
-depth, steal order, re-split budget, or interleaving (property-tested in
+depth, re-split budget, or interleaving (property-tested in
 ``tests/test_parallel.py``; exactness argument in ``docs/PARALLEL.md``).
 """
 
@@ -57,15 +57,16 @@ from itertools import product
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.asp.control import _ground_text_cached
+from repro.asp.control import Control
 from repro.asp.ground import GroundProgram
 from repro.dse.explorer import (
+    DELTA_BATCH,
     DseResult,
-    DseStatistics,
     ExactParetoExplorer,
-    ParetoPoint,
+    check_pins,
+    drive,
+    merge_run,
 )
-from repro.dse.pareto import non_dominated_union
 from repro.dse.scheduler import (
     ArchiveDelta,
     CubeScheduler,
@@ -83,13 +84,9 @@ __all__ = [
     "ParallelParetoExplorer",
 ]
 
-#: Per-solver-call conflict budget between archive synchronization points.
+#: Default per-solver-call conflict budget of the workers of a
+#: multi-worker run: how often they synchronize archives.
 DEFAULT_CHUNK_CONFLICTS = 200
-
-#: Points buffered before a worker publishes an archive delta (deltas
-#: are also flushed at every chunk and cube boundary, so batching only
-#: defers publication by at most one solver call).
-DELTA_BATCH = 8
 
 
 def binding_choices(
@@ -116,42 +113,29 @@ def auto_split_depth(
     spec: Specification,
     jobs: int,
     fixed_bindings: Optional[Dict[str, str]] = None,
-    schedule: str = "static",
 ) -> int:
-    """Split depth derived from the worker count and the scheduler.
+    """Split depth derived from the worker count.
 
-    ``schedule="static"`` keeps the original rule: the smallest depth
-    yielding at least ``2 * jobs`` cubes, a mild over-partition so fixed
-    round-robin shares still balance when cube hardness is uneven.
-
-    ``schedule="stealing"`` targets ``TARGET_CUBE_FACTOR * jobs`` cubes
-    instead: the deques must stay deep enough to steal from and to
-    re-order as archive deltas arrive, and fine cubes keep the critical
-    path short.  The count is capped at ``MAX_STEALING_CUBES`` — the
-    ground program is shared, but every cube still costs a dispatch
-    round-trip and an assumption-based solver restart, so past the cap
-    the scheduling overhead rivals what the shared grounding saved (a
-    cube over-running its budget is re-split adaptively anyway).
+    One job needs no split (depth 0: the root cube).  Otherwise the
+    depth targets ``TARGET_CUBE_FACTOR * jobs`` cubes: the deques must
+    stay deep enough to steal from and to re-order as archive deltas
+    arrive, and fine cubes keep the critical path short.  The count is
+    capped at ``MAX_STEALING_CUBES`` — the ground program is shared, but
+    every cube still costs a dispatch round-trip and an
+    assumption-based solver restart, so past the cap the scheduling
+    overhead rivals what the shared grounding saved (a cube over-running
+    its budget is re-split adaptively anyway).
     """
-    if jobs <= 1 and schedule == "static":
-        return 0
-    choices = binding_choices(spec, fixed_bindings)
-    if schedule == "stealing":
-        target = TARGET_CUBE_FACTOR * max(jobs, 1)
-        cubes = 1
-        for depth, (_task, options) in enumerate(choices, start=1):
-            if cubes * len(options) > MAX_STEALING_CUBES:
-                return depth - 1
-            cubes *= len(options)
-            if cubes >= target:
-                return depth
-        return len(choices)
     if jobs <= 1:
         return 0
+    target = TARGET_CUBE_FACTOR * jobs
     cubes = 1
+    choices = binding_choices(spec, fixed_bindings)
     for depth, (_task, options) in enumerate(choices, start=1):
+        if cubes * len(options) > MAX_STEALING_CUBES:
+            return depth - 1
         cubes *= len(options)
-        if cubes >= 2 * jobs:
+        if cubes >= target:
             return depth
     return len(choices)
 
@@ -182,159 +166,16 @@ def derive_cubes(
     return cubes
 
 
-class _CubeRunner:
-    """One worker's incremental explorer, executing cubes one at a time.
-
-    The explorer grounds once (or reuses the parent's shipped artifact);
-    cubes are entered via solve assumptions, so learned clauses and the
-    dominance archive persist across cubes — including stolen and
-    re-split ones.  Solving is chunked by a per-call conflict budget
-    (``chunk_conflicts``) so the surrounding loop can inject foreign
-    deltas even while the solver is deep inside an UNSAT proof;
-    ``conflict_limit`` is the worker's *total* budget (the run reports
-    ``interrupted`` when it is hit), and ``resplit_conflicts`` is the
-    per-cube budget after which a splittable cube is handed back to the
-    scheduler for re-splitting.
-    """
-
-    def __init__(
-        self,
-        instance: EncodedInstance,
-        explorer_options: Optional[Dict[str, object]] = None,
-        chunk_conflicts: Optional[int] = DEFAULT_CHUNK_CONFLICTS,
-        conflict_limit: Optional[int] = None,
-        ground_program: Optional[GroundProgram] = None,
-        resplit_conflicts: Optional[int] = None,
-        branch_tasks: Sequence[str] = (),
-    ):
-        options = dict(explorer_options or {})
-        options.pop("fixed_bindings", None)  # baked into the cubes
-        options.pop("conflict_limit", None)
-        options.pop("ground_program", None)  # shipped by the parent
-        self.explorer = ExactParetoExplorer(
-            instance,
-            conflict_limit=chunk_conflicts,
-            ground_program=ground_program,
-            **options,
-        )
-        self._conflict_limit = conflict_limit
-        self._resplit_conflicts = resplit_conflicts
-        self._branch_tasks = tuple(branch_tasks)
-        self.current: Optional[Dict[str, str]] = None
-        self._assumptions = []
-        self._cube_mark = 0
-        self.cubes_executed = 0
-        self.interrupted = False
-        self.injected = 0
-        self.delta_bytes = 0
-        self.wall_time = 0.0
-
-    def begin(self, cube: Dict[str, str]) -> None:
-        self.current = dict(cube)
-        self._assumptions = self.explorer.bind_assumptions(self.current)
-        self._cube_mark = self.explorer.conflict_mark()
-        self.cubes_executed += 1
-
-    def abandon(self) -> Dict[str, str]:
-        """Hand the over-budget cube back (for the scheduler to split)."""
-        cube = self.current
-        self.current = None
-        assert cube is not None
-        return cube
-
-    def inject_vectors(self, vectors) -> int:
-        accepted = self.explorer.inject_points(
-            (vector, None) for vector in vectors
-        )
-        self.injected += accepted
-        return accepted
-
-    def _splittable(self) -> bool:
-        current = self.current or {}
-        return any(task not in current for task in self._branch_tasks)
-
-    def step(self) -> Tuple[str, Optional[ParetoPoint]]:
-        """Advance the current cube by one chunked solver call.
-
-        Returns ``("model", point)`` for a newly found Pareto point,
-        ``("chunk", None)`` when a budget slice was spent (call again),
-        ``("budget", None)`` when the cube exceeded its re-split budget
-        (call :meth:`abandon` and return it to the scheduler),
-        ``("cube_done", None)`` when the cube's subspace is exhausted,
-        or ``("halt", None)`` when the worker's total conflict budget
-        ran out.
-        """
-        assert self.current is not None
-        started = perf_counter()
-        status, point = self.explorer.solve_step(self._assumptions)
-        self.wall_time += perf_counter() - started
-        if status == "model":
-            return ("model", point)
-        if status == "interrupted":
-            conflicts = self.explorer.conflict_mark()
-            if (
-                self._conflict_limit is not None
-                and conflicts >= self._conflict_limit
-            ):
-                self.interrupted = True
-                self.current = None
-                return ("halt", None)
-            if (
-                self._resplit_conflicts
-                and conflicts - self._cube_mark >= self._resplit_conflicts
-                and self._splittable()
-            ):
-                return ("budget", None)
-            return ("chunk", None)
-        # Cube exhausted: its subspace holds no further front points.
-        self.current = None
-        return ("cube_done", None)
-
-    def report(self, worker_id: int) -> Dict[str, object]:
-        stats = self.explorer.collect_statistics()
-        front = self.explorer.local_front()
-        return {
-            "worker": worker_id,
-            "cubes": self.cubes_executed,
-            "front": front,
-            "interrupted": self.interrupted,
-            "injected": self.injected,
-            "delta_bytes": self.delta_bytes,
-            "dedup_skips": self.explorer.dedup_skips,
-            "statistics": {
-                "models_enumerated": stats.models_enumerated,
-                "pareto_points_local": len(front),
-                "conflicts": stats.conflicts,
-                "decisions": stats.decisions,
-                "propagations": stats.propagations,
-                "restarts": stats.restarts,
-                "clause_db_bytes": stats.clause_db_bytes,
-                "solver_core": stats.solver_core,
-                "pruned_partial": stats.pruned_partial,
-                "pruned_total": stats.pruned_total,
-                "archive_comparisons": stats.archive_comparisons,
-                "time_boolean_propagation": stats.time_boolean_propagation,
-                "time_theory_propagation": stats.time_theory_propagation,
-                "time_dominance": stats.time_dominance,
-                "grounds": stats.grounds,
-                "grounding_seconds": stats.grounding_seconds,
-                "wall_time": self.wall_time,
-            },
-        }
-
-
 def _worker_main(
     worker_id: int,
     instance: EncodedInstance,
     explorer_options: Dict[str, object],
-    chunk_conflicts: Optional[int],
-    conflict_limit: Optional[int],
     resplit_conflicts: Optional[int],
     branch_tasks: Sequence[str],
     share: bool,
     command_queue,
     result_queue,
-    ground_blob: Optional[bytes] = None,
+    ground_blob: bytes,
 ) -> None:
     """Process entry point: execute cubes the parent hands over.
 
@@ -345,22 +186,14 @@ def _worker_main(
     Results: ``("delta", wid, blob)`` publishes new points,
     ``("next", wid)`` requests another cube, ``("resplit", wid, cube)``
     hands an over-budget cube back, ``("halt", wid)`` reports an
-    exhausted total budget, ``("done", wid, report)`` closes the worker.
+    exhausted conflict budget, ``("done", wid, front, entry)`` closes
+    the worker with its local front and ``per_worker`` entry.
     """
     try:
-        ground = (
-            GroundProgram.from_bytes(ground_blob)
-            if ground_blob is not None
-            else None
-        )
-        runner = _CubeRunner(
+        explorer = ExactParetoExplorer(
             instance,
-            explorer_options,
-            chunk_conflicts,
-            conflict_limit,
-            ground_program=ground,
-            resplit_conflicts=resplit_conflicts,
-            branch_tasks=branch_tasks,
+            ground_program=GroundProgram.from_bytes(ground_blob),
+            **explorer_options,
         )
         buffer: List[Tuple[int, ...]] = []
         stopping = False
@@ -368,12 +201,12 @@ def _worker_main(
         def flush() -> None:
             if buffer:
                 blob = ArchiveDelta(buffer).to_bytes()
-                runner.delta_bytes += len(blob)
+                explorer.delta_bytes += len(blob)
                 result_queue.put(("delta", worker_id, blob))
                 del buffer[:]
 
         while True:
-            block = runner.current is None and not stopping
+            block = explorer.current is None and not stopping
             while True:
                 try:
                     if block:
@@ -385,44 +218,44 @@ def _worker_main(
                     break
                 kind = command[0]
                 if kind == "cube":
-                    runner.begin(command[1])
+                    explorer.begin(command[1])
                 elif kind == "delta":
                     if share:
-                        runner.inject_vectors(
-                            ArchiveDelta.from_bytes(command[1]).vectors
+                        explorer.inject_points(
+                            (vector, None)
+                            for vector in ArchiveDelta.from_bytes(command[1])
                         )
                 elif kind == "cancel":
-                    # Cooperative cancellation: drop the cube mid-proof
-                    # (its points so far are already flushed or in the
-                    # buffer) and close the worker.
-                    if runner.current is not None:
-                        runner.interrupted = True
-                        runner.current = None
+                    # Its points so far are already flushed or buffered.
+                    explorer.cancel()
                     stopping = True
                 else:  # "stop"
                     stopping = True
-            if runner.current is None:
+            if explorer.current is None:
                 if stopping:
                     break
                 continue
-            status, point = runner.step()
+            status, point = explorer.step()
             if status == "model":
                 buffer.append(point.vector)
-                if len(buffer) >= DELTA_BATCH:
-                    flush()
-            elif status == "budget":
-                flush()
-                result_queue.put(("resplit", worker_id, runner.abandon()))
-            elif status == "cube_done":
-                flush()
+                if len(buffer) < DELTA_BATCH:
+                    continue
+            flush()
+            if status == "cube_done":
                 result_queue.put(("next", worker_id))
             elif status == "halt":
-                flush()
                 result_queue.put(("halt", worker_id))
-            else:  # "chunk"
-                flush()
+            elif (
+                status == "chunk"
+                and resplit_conflicts
+                and explorer.cube_conflicts() >= resplit_conflicts
+                and any(task not in explorer.current for task in branch_tasks)
+            ):
+                result_queue.put(("resplit", worker_id, explorer.abandon()))
         flush()
-        result_queue.put(("done", worker_id, runner.report(worker_id)))
+        result_queue.put(
+            ("done", worker_id, explorer.local_front(), explorer.report(worker_id))
+        )
     except Exception:  # surfaced in the parent as a RuntimeError
         result_queue.put(("error", worker_id, traceback.format_exc()))
 
@@ -431,32 +264,37 @@ class ParallelParetoExplorer:
     """Exact Pareto enumeration over elastically scheduled workers.
 
     Produces the same front as :class:`ExactParetoExplorer` — identical
-    vectors and count — for every ``jobs``/``split_depth``/``schedule``
-    combination (witness implementations per vector may differ, as in
-    any exact enumerator).  Two backends:
+    vectors and count — for every ``jobs``/``split_depth`` combination
+    (witness implementations per vector may differ, as in any exact
+    enumerator).  One job *is* the sequential explorer: it explores the
+    root cube in-process with no split and no re-splits, because one
+    worker has no one to hand work to.  Several jobs run on one of two
+    backends:
 
     * ``"process"`` (default) — one OS process per worker
       (``multiprocessing``); the parent hosts the cube scheduler and
       brokers cube dispatch and archive deltas over queues;
     * ``"inline"`` — deterministic in-process round-robin over the same
-      worker machinery and the same scheduler; useful for debugging and
+      workers and the same scheduler (:func:`~repro.dse.explorer.drive`,
+      the loop a sequential run uses); useful for debugging and
       reproducible tests.
 
-    ``schedule`` selects the cube scheduler: ``"stealing"`` (default;
-    work-stealing deques, hypervolume-ordered priorities, adaptive
-    re-splitting after ``resplit_conflicts`` conflicts per cube) or
-    ``"static"`` (the original fixed round-robin shares).
-    ``steal_order`` picks the deterministic victim-selection policy
-    (``"busiest"``, ``"roundrobin"``, ``"reverse"``).
+    Idle workers steal cubes from the busiest deque, queues follow the
+    hypervolume priorities, and a cube re-splits after
+    ``resplit_conflicts`` conflicts (``None`` disables re-splitting).
 
     ``share_archive=False`` isolates the workers' archives (merge still
     restores exactness); the ablation benchmark uses it to measure how
-    much cross-worker pruning saves.  Remaining keyword arguments are
-    forwarded to each worker's :class:`ExactParetoExplorer` (``archive``,
-    ``partial_pruning``, ``validate_models``, ...).  ``epsilon > 0`` is
-    forwarded too, but only ``epsilon=0`` guarantees a bit-identical
-    front; the parallel epsilon front is still a valid additive-epsilon
-    approximation (see ``docs/PARALLEL.md``).
+    much cross-worker pruning saves.  Remaining keyword arguments
+    configure each worker's :class:`ExactParetoExplorer` (``archive``,
+    ``partial_pruning``, ``conflict_limit``, ...).  ``conflict_limit``
+    caps each worker's conflicts.  The workers of a multi-worker run
+    default to ``chunk_conflicts=DEFAULT_CHUNK_CONFLICTS`` so they
+    synchronize archives mid-proof; a lone worker runs unchunked unless
+    a chunk size is given.  ``epsilon > 0`` is forwarded too, but only
+    ``epsilon=0`` guarantees a bit-identical front; the parallel epsilon
+    front is still a valid additive-epsilon approximation (see
+    ``docs/PARALLEL.md``).
     """
 
     def __init__(
@@ -465,12 +303,8 @@ class ParallelParetoExplorer:
         jobs: int = 2,
         split_depth: Optional[int] = None,
         backend: str = "process",
-        schedule: str = "stealing",
-        steal_order: str = "busiest",
         resplit_conflicts: Optional[int] = DEFAULT_RESPLIT_CONFLICTS,
-        chunk_conflicts: Optional[int] = DEFAULT_CHUNK_CONFLICTS,
         share_archive: bool = True,
-        conflict_limit: Optional[int] = None,
         fixed_bindings: Optional[Dict[str, str]] = None,
         **explorer_options,
     ):
@@ -478,63 +312,26 @@ class ParallelParetoExplorer:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if backend not in ("process", "inline"):
             raise ValueError(f"unknown backend {backend!r}")
-        if schedule not in ("static", "stealing"):
-            raise ValueError(f"unknown schedule {schedule!r}")
         self.instance = instance
         self.jobs = jobs
         self.split_depth = split_depth
         self.backend = backend
-        self.schedule = schedule
-        self.steal_order = steal_order
-        self.resplit_conflicts = (
-            resplit_conflicts if schedule == "stealing" else None
-        )
-        self.chunk_conflicts = chunk_conflicts
+        self.resplit_conflicts = resplit_conflicts
         self.share_archive = share_archive
-        self.conflict_limit = conflict_limit
         self.fixed_bindings = dict(fixed_bindings or {})
-        symmetry = getattr(instance, "symmetry", None)
-        if (
-            self.fixed_bindings
-            and symmetry is not None
-            and symmetry.applied
-            and symmetry.constraints > 0
-        ):
-            # Guiding-path cubes are fine (they partition the full space,
-            # so every orbit's lex-minimal representative stays reachable)
-            # but a user pin can exclude it and lose front points.
-            raise ValueError(
-                "fixed_bindings cannot be combined with an instance that "
-                "carries lex-leader symmetry constraints; re-encode with "
-                "symmetry='off' to pin bindings"
-            )
+        check_pins(instance, self.fixed_bindings)
         self.explorer_options = dict(explorer_options)
-        self.epsilon = int(explorer_options.get("epsilon") or 0)
 
     def cubes(self) -> List[Dict[str, str]]:
         """The guiding-path cubes this run initially partitions into."""
         spec = self.instance.specification
         depth = self.split_depth
         if depth is None:
-            depth = auto_split_depth(
-                spec, self.jobs, self.fixed_bindings, schedule=self.schedule
-            )
+            depth = auto_split_depth(spec, self.jobs, self.fixed_bindings)
         return derive_cubes(spec, depth, self.fixed_bindings)
 
-    def _scheduler(self, cubes: List[Dict[str, str]], jobs: int) -> CubeScheduler:
-        return CubeScheduler(
-            cubes,
-            jobs,
-            choices=binding_choices(
-                self.instance.specification, self.fixed_bindings
-            ),
-            objectives=self.instance.objectives,
-            schedule=self.schedule,
-            steal_order=self.steal_order,
-        )
-
     def run(self, on_points=None, should_stop=None) -> DseResult:
-        """Run the parallel exploration; returns the merged exact front.
+        """Run the exploration; returns the merged exact front.
 
         ``on_points`` is the anytime snapshot hook of the serving
         layer: it is called (in the coordinating process/loop) with
@@ -542,139 +339,78 @@ class ParallelParetoExplorer:
         the :class:`ArchiveDelta` increments the workers exchange.
         ``should_stop`` is polled between scheduling steps; returning a
         truthy value cancels the run cooperatively — workers abandon
-        their cubes within one conflict chunk, partial fronts are
-        merged, and the result reports ``interrupted=True``.
+        their cubes within one solver call, partial fronts are merged,
+        and the result reports ``interrupted=True``.
         """
-        started = perf_counter()
-        cubes = self.cubes()
-        jobs = max(1, min(self.jobs, len(cubes)))
-        scheduler = self._scheduler(cubes, jobs)
-        self._cancelled = False
-        # Ground once in the parent and ship the artifact: the workers
-        # reuse it instead of re-instantiating the same program each.
-        ground, cache_hit = _ground_text_cached(
-            self.instance.program,
-            bool(self.explorer_options.get("ground_cache", True)),
-            "seminaive",
-        )
-        self._parent_ground = ground
-        self._parent_cache_hit = cache_hit
-        if self.backend == "inline":
-            reports = self._run_inline(
-                scheduler, jobs, ground, on_points, should_stop
-            )
-        else:
-            reports = self._run_processes(
-                scheduler, jobs, ground, on_points, should_stop
-            )
-        return self._merge(scheduler, reports, perf_counter() - started)
-
-    def _branch_tasks(self) -> Tuple[str, ...]:
-        return tuple(
-            task
-            for task, _options in binding_choices(
-                self.instance.specification, self.fixed_bindings
-            )
-        )
-
-    # -- backends ----------------------------------------------------------------
-
-    def _run_inline(
-        self,
-        scheduler: CubeScheduler,
-        jobs: int,
-        ground: GroundProgram,
-        on_points=None,
-        should_stop=None,
-    ) -> Dict[int, Dict[str, object]]:
-        """Deterministic round-robin over in-process workers."""
-        branch_tasks = self._branch_tasks()
-        runners = [
-            _CubeRunner(
+        cubes = self.cubes() if self.jobs > 1 else []
+        jobs = min(self.jobs, len(cubes))
+        if jobs <= 1:
+            return ExactParetoExplorer(
                 self.instance,
-                self.explorer_options,
-                self.chunk_conflicts,
-                self.conflict_limit,
-                ground_program=ground,
-                resplit_conflicts=self.resplit_conflicts,
-                branch_tasks=branch_tasks,
+                fixed_bindings=self.fixed_bindings,
+                **self.explorer_options,
+            ).run(on_points=on_points, should_stop=should_stop)
+        started = perf_counter()
+        options = dict(self.explorer_options)
+        options.setdefault("chunk_conflicts", DEFAULT_CHUNK_CONFLICTS)
+        choices = binding_choices(self.instance.specification, self.fixed_bindings)
+        scheduler = CubeScheduler(
+            cubes, jobs, choices=choices, objectives=self.instance.objectives
+        )
+        # The one grounding step (lint included): the workers reuse the
+        # artifact instead of re-instantiating the same program each.
+        grounder = Control()
+        grounder.add(self.instance.program)
+        ground = grounder.instantiate(
+            cache=options.pop("ground_cache", True),
+            lint=options.pop("lint", False),
+        )
+        if self.backend == "inline":
+            workers = [
+                ExactParetoExplorer(self.instance, ground_program=ground, **options)
+                for _worker in range(jobs)
+            ]
+            cancelled = drive(
+                workers,
+                scheduler,
+                self.share_archive,
+                self.resplit_conflicts,
+                on_points,
+                should_stop,
             )
-            for _worker in range(jobs)
-        ]
-        pending: List[List[Tuple[int, ...]]] = [[] for _worker in runners]
-        buffers: List[List[Tuple[int, ...]]] = [[] for _worker in runners]
-        halted = set()
-
-        def flush(wid: int) -> None:
-            if not buffers[wid]:
-                return
-            # Serialize even inline so archive_delta_bytes measures the
-            # real wire cost of the protocol.
-            blob = ArchiveDelta(buffers[wid]).to_bytes()
-            runners[wid].delta_bytes += len(blob)
-            scheduler.observe(buffers[wid])
-            if on_points is not None:
-                on_points(list(buffers[wid]))
-            if self.share_archive:
-                for other in range(jobs):
-                    if other != wid and other not in halted:
-                        pending[other].extend(buffers[wid])
-            buffers[wid] = []
-
-        for wid in range(jobs):
-            cube = scheduler.next_cube(wid)
-            if cube is not None:
-                runners[wid].begin(cube)
-        while True:
-            if should_stop is not None and should_stop():
-                self._cancelled = True
-                for wid, runner in enumerate(runners):
-                    flush(wid)
-                    if runner.current is not None:
-                        runner.interrupted = True
-                        runner.current = None
-                break
-            progressed = False
-            for wid, runner in enumerate(runners):
-                if wid in halted:
-                    continue
-                if pending[wid]:
-                    runner.inject_vectors(pending[wid])
-                    pending[wid] = []
-                if runner.current is None:
-                    cube = scheduler.next_cube(wid)
-                    if cube is None:
-                        continue
-                    runner.begin(cube)
-                progressed = True
-                status, point = runner.step()
-                if status == "model":
-                    buffers[wid].append(point.vector)
-                    if len(buffers[wid]) >= DELTA_BATCH:
-                        flush(wid)
-                elif status == "budget":
-                    flush(wid)
-                    cube = runner.abandon()
-                    if scheduler.resplit(wid, cube) == 0:
-                        runner.begin(cube)  # no binding level left
-                elif status == "halt":
-                    flush(wid)
-                    halted.add(wid)
-                else:  # "chunk" or "cube_done"
-                    flush(wid)
-            if not progressed:
-                break
-        return {wid: runner.report(wid) for wid, runner in enumerate(runners)}
+            reports = [
+                (worker.local_front(), worker.report(wid))
+                for wid, worker in enumerate(workers)
+            ]
+        else:
+            branch_tasks = tuple(task for task, _options in choices)
+            cancelled, reports = self._run_processes(
+                scheduler, jobs, ground, options, branch_tasks, on_points, should_stop
+            )
+        return merge_run(
+            self.instance,
+            grounder,
+            scheduler,
+            reports,
+            cancelled,
+            perf_counter() - started,
+            int(options.get("epsilon") or 0),
+        )
 
     def _run_processes(
         self,
         scheduler: CubeScheduler,
         jobs: int,
         ground: GroundProgram,
+        options: Dict[str, object],
+        branch_tasks: Tuple[str, ...],
         on_points=None,
         should_stop=None,
-    ) -> Dict[int, Dict[str, object]]:
-        """One process per worker; the parent schedules and brokers."""
+    ):
+        """One process per worker; the parent schedules and brokers.
+
+        Returns ``(cancelled, reports)`` with reports in worker order.
+        """
         import multiprocessing
 
         methods = multiprocessing.get_all_start_methods()
@@ -686,16 +422,13 @@ class ParallelParetoExplorer:
         # Serialized once here; every worker deserializes the same blob
         # instead of grounding the instance again.
         ground_blob = ground.to_bytes()
-        branch_tasks = self._branch_tasks()
         processes = [
             context.Process(
                 target=_worker_main,
                 args=(
                     wid,
                     self.instance,
-                    self.explorer_options,
-                    self.chunk_conflicts,
-                    self.conflict_limit,
+                    options,
                     self.resplit_conflicts,
                     branch_tasks,
                     self.share_archive,
@@ -711,12 +444,12 @@ class ParallelParetoExplorer:
             process.start()
 
         pending = set(range(jobs))
-        reports: Dict[int, Dict[str, object]] = {}
+        reports: Dict[int, Tuple[list, Dict[str, object]]] = {}
         executing = [False] * jobs
         waiting = set()
         stopped = set()
         halted = set()
-        delta_bytes = 0
+        cancelled = False
 
         def dispatch(wid: int) -> None:
             if wid in stopped:
@@ -751,21 +484,14 @@ class ParallelParetoExplorer:
         for wid in range(jobs):
             dispatch(wid)
         maybe_stop()
-        def cancel_all() -> None:
-            self._cancelled = True
-            for wid in range(jobs):
-                if wid not in stopped:
-                    command_queues[wid].put(("cancel",))
-                    stopped.add(wid)
-
         try:
             while pending:
-                if (
-                    not self._cancelled
-                    and should_stop is not None
-                    and should_stop()
-                ):
-                    cancel_all()
+                if not cancelled and should_stop is not None and should_stop():
+                    cancelled = True
+                    for wid in range(jobs):
+                        if wid not in stopped:
+                            command_queues[wid].put(("cancel",))
+                            stopped.add(wid)
                 try:
                     timeout = 0.1 if should_stop is not None else 1.0
                     message = result_queue.get(timeout=timeout)
@@ -780,12 +506,11 @@ class ParallelParetoExplorer:
                 kind, wid = message[0], message[1]
                 if kind == "delta":
                     blob = message[2]
-                    delta_bytes += len(blob)
                     vectors = ArchiveDelta.from_bytes(blob).vectors
                     scheduler.observe(vectors)
                     if on_points is not None:
                         on_points(list(vectors))
-                    if self.share_archive and not self._cancelled:
+                    if self.share_archive and not cancelled:
                         for other in pending:
                             if other != wid and other not in stopped:
                                 command_queues[other].put(("delta", blob))
@@ -797,14 +522,8 @@ class ParallelParetoExplorer:
                     maybe_stop()
                 elif kind == "resplit":
                     executing[wid] = False
-                    if self._cancelled:
-                        pass  # the worker is already winding down
-                    elif scheduler.resplit(wid, message[2]) == 0:
-                        # No binding level left (defensive; the worker
-                        # checks splittability first): hand it back.
-                        command_queues[wid].put(("cube", message[2]))
-                        executing[wid] = True
-                    else:
+                    if not cancelled:  # else the worker is winding down
+                        scheduler.resplit(wid, message[2])
                         dispatch(wid)
                     fill_waiting()
                     maybe_stop()
@@ -816,7 +535,7 @@ class ParallelParetoExplorer:
                     fill_waiting()
                     maybe_stop()
                 elif kind == "done":
-                    reports[wid] = message[2]
+                    reports[wid] = (message[2], message[3])
                     pending.discard(wid)
                 else:  # "error"
                     raise RuntimeError(
@@ -831,107 +550,4 @@ class ParallelParetoExplorer:
             for q in [result_queue, *command_queues]:
                 q.close()
                 q.cancel_join_thread()
-        self._parent_delta_bytes = delta_bytes
-        return reports
-
-    # -- merge -------------------------------------------------------------------
-
-    def _merge(
-        self,
-        scheduler: CubeScheduler,
-        reports: Dict[int, Dict[str, object]],
-        wall_time: float,
-    ) -> DseResult:
-        """Non-dominated union of the worker fronts + aggregated stats."""
-        ordered = [reports[wid] for wid in sorted(reports)]
-        merged = non_dominated_union(*(report["front"] for report in ordered))
-        stats = DseStatistics()
-        stats.wall_time = wall_time
-        stats.interrupted = getattr(self, "_cancelled", False)
-        stats.epsilon = self.epsilon
-        stats.pareto_points = len(merged)
-        stats.steals = sum(scheduler.steals)
-        stats.resplits = scheduler.resplits
-        # Symmetry is a property of the shared instance, not of a worker.
-        symmetry = getattr(self.instance, "symmetry", None)
-        if symmetry is not None:
-            stats.symmetry_mode = symmetry.mode
-            stats.symmetry_applied = symmetry.applied
-            stats.symmetry_generators = symmetry.generators
-            stats.symmetry_order = symmetry.order
-            stats.symmetry_orbits = symmetry.orbits
-            stats.symmetry_constraints = symmetry.constraints
-            stats.symmetry_seconds = symmetry.seconds
-        # So is the domain analysis: the encode-time info is shared, the
-        # grounding counters come from the parent's (single) grounding.
-        domain = getattr(self.instance, "domain", None)
-        if domain is not None:
-            stats.domain_mode = domain.mode
-            stats.domain_applied = domain.applied
-            stats.domain_predicates = domain.predicates
-            stats.domain_widenings = domain.widenings
-            stats.domain_seconds += domain.seconds
-        # Grounding happened (at most) once, in the parent; the workers
-        # reused the shipped artifact, so their counts stay at zero.
-        parent_ground = getattr(self, "_parent_ground", None)
-        if parent_ground is not None:
-            stats.ground_cache_hit = self._parent_cache_hit
-            stats.grounds = 0 if self._parent_cache_hit else 1
-            if parent_ground.grounding is not None:
-                stats.instantiations = parent_ground.grounding.instantiations
-                stats.delta_rounds = parent_ground.grounding.delta_rounds
-                if not self._parent_cache_hit:
-                    stats.grounding_seconds = parent_ground.grounding.seconds
-                grounding = parent_ground.grounding
-                if grounding.domain_prune:
-                    stats.domain_mode = stats.domain_mode or "prune"
-                    stats.domain_predicates = max(
-                        stats.domain_predicates, grounding.domain_predicates
-                    )
-                    stats.domain_widenings = max(
-                        stats.domain_widenings, grounding.domain_widenings
-                    )
-                    stats.domain_pruned = grounding.pruned_instances
-                    stats.domain_rules_skipped = grounding.rules_skipped
-                    stats.domain_seconds += grounding.domain_seconds
-        for report in ordered:
-            wid = report["worker"]
-            inner = report["statistics"]
-            stats.grounds += inner.get("grounds", 0)
-            stats.models_enumerated += inner["models_enumerated"]
-            stats.conflicts += inner["conflicts"]
-            stats.decisions += inner["decisions"]
-            stats.propagations += inner.get("propagations", 0)
-            stats.restarts += inner.get("restarts", 0)
-            stats.clause_db_bytes += inner.get("clause_db_bytes", 0)
-            stats.solver_core = inner.get("solver_core", stats.solver_core)
-            stats.pruned_partial += inner["pruned_partial"]
-            stats.pruned_total += inner["pruned_total"]
-            stats.archive_comparisons += inner["archive_comparisons"]
-            stats.time_boolean_propagation += inner["time_boolean_propagation"]
-            stats.time_theory_propagation += inner["time_theory_propagation"]
-            stats.time_dominance += inner["time_dominance"]
-            stats.interrupted = stats.interrupted or report["interrupted"]
-            stats.cubes_executed += report["cubes"]
-            stats.archive_delta_bytes += report.get("delta_bytes", 0)
-            stats.archive_dedup_skips += report.get("dedup_skips", 0)
-            steals = (
-                scheduler.steals[wid] if wid < len(scheduler.steals) else 0
-            )
-            stats.per_worker.append(
-                {
-                    "worker": wid,
-                    "cubes": report["cubes"],
-                    "injected": report["injected"],
-                    "interrupted": report["interrupted"],
-                    "steals": steals,
-                    "delta_bytes": report.get("delta_bytes", 0),
-                    "dedup_skips": report.get("dedup_skips", 0),
-                    **inner,
-                }
-            )
-        names = tuple(objective.name for objective in self.instance.objectives)
-        points = [
-            ParetoPoint(tuple(vector), payload) for vector, payload in merged
-        ]
-        return DseResult(names, points, stats)
+        return cancelled, [reports[wid] for wid in sorted(reports)]

@@ -1,10 +1,9 @@
 """Elastic cube scheduling: work-stealing, hypervolume order, re-splits.
 
-The static scheduler of the first parallel explorer handed each worker a
-fixed share of the guiding-path cubes (``cubes[w::jobs]``).  Background
-theory pruning makes cube hardness wildly uneven, so one hard cube
-routinely idles every other worker.  This module replaces the fixed
-shares with an *elastic* scheduler:
+Fixed shares of the guiding-path cubes (``cubes[w::jobs]``) balance
+badly: background theory pruning makes cube hardness wildly uneven, so
+one hard cube routinely idles every other worker.  The scheduler here is
+*elastic*:
 
 1. **Work-stealing deques** — every worker owns a deque of cubes; an
    idle worker steals from the tail of the busiest victim's deque
@@ -48,7 +47,6 @@ __all__ = [
     "CubeScheduler",
     "cube_objective_box",
     "DEFAULT_RESPLIT_CONFLICTS",
-    "STEAL_ORDERS",
     "TARGET_CUBE_FACTOR",
     "MAX_STEALING_CUBES",
 ]
@@ -56,11 +54,7 @@ __all__ = [
 #: Conflicts a cube may burn before it is split one level deeper.
 DEFAULT_RESPLIT_CONFLICTS = 1_000
 
-#: Victim-selection policies for stealing (all deterministic; the
-#: equivalence property tests sweep them).
-STEAL_ORDERS = ("busiest", "roundrobin", "reverse")
-
-#: The stealing scheduler over-partitions to ``TARGET_CUBE_FACTOR * jobs``
+#: The scheduler over-partitions to ``TARGET_CUBE_FACTOR * jobs``
 #: cubes so the deques stay deep enough to steal from.
 TARGET_CUBE_FACTOR = 8
 
@@ -199,9 +193,8 @@ class CubeScheduler:
     lives in the coordinating process (the inline loop or the process
     backend's parent); workers only ever hold the one cube they are
     executing, so stealing and re-prioritisation never race with a
-    solver.  ``schedule="static"`` degrades to the original fixed
-    round-robin shares: no stealing, no priorities, no re-splitting —
-    cubes run in exactly the pre-PR order.
+    solver.  Without ``objectives`` there are no priorities (cubes run
+    in queue order), and without ``choices`` no cube is splittable.
     """
 
     def __init__(
@@ -210,21 +203,12 @@ class CubeScheduler:
         jobs: int,
         choices: Sequence[Tuple[str, List[str]]] = (),
         objectives: Sequence[ObjectiveSpec] = (),
-        schedule: str = "stealing",
-        steal_order: str = "busiest",
     ):
-        if schedule not in ("static", "stealing"):
-            raise ValueError(f"unknown schedule {schedule!r}")
-        if steal_order not in STEAL_ORDERS:
-            raise ValueError(f"unknown steal order {steal_order!r}")
-        self.schedule = schedule
-        self.steal_order = steal_order
         self.jobs = jobs
         self._choices = [(task, list(options)) for task, options in choices]
         self._profiles = [_ObjectiveProfile(spec) for spec in objectives]
         self._sequence = 0
-        # Same deterministic round-robin assignment the static scheduler
-        # used; under "stealing" it is merely the starting ownership.
+        # Deterministic round-robin starting ownership.
         self._queues: List[List[_QueuedCube]] = [
             [self._make(cube) for cube in cubes[worker::jobs]]
             for worker in range(jobs)
@@ -232,11 +216,9 @@ class CubeScheduler:
         self._archive: List[Tuple[int, ...]] = []
         self._revision = 0
         self._sorted_revision = [-1] * jobs
-        self._roundrobin = 0
         #: Telemetry the parent merges into the run statistics.
         self.steals = [0] * jobs
         self.resplits = 0
-        self.dispatched = 0
 
     # -- queue plumbing ----------------------------------------------------------
 
@@ -258,7 +240,7 @@ class CubeScheduler:
 
     def _refresh(self, worker: int) -> None:
         """Re-sort a queue by descending priority (lazily, per revision)."""
-        if self.schedule != "stealing" or not self._profiles:
+        if not self._profiles:
             return
         if self._sorted_revision[worker] == self._revision:
             return
@@ -283,25 +265,19 @@ class CubeScheduler:
 
         The owner consumes the head of its deque (the fattest remaining
         region under the current archive); an idle worker steals from
-        the *tail* of a victim chosen by ``steal_order`` ("busiest":
-        deepest deque, lowest id on ties; "roundrobin": cycling scan;
-        "reverse": descending-id scan).  Returns ``None`` when every
-        deque is empty.
+        the *tail* of the busiest victim (deepest deque, lowest id on
+        ties).  Returns ``None`` when every deque is empty.
         """
         self._refresh(worker)
         queue = self._queues[worker]
         if queue:
-            self.dispatched += 1
             return queue.pop(0).bindings
-        if self.schedule != "stealing":
-            return None
         victim = self._pick_victim(worker)
         if victim is None:
             return None
         self._refresh(victim)
         stolen = self._queues[victim].pop()
         self.steals[worker] += 1
-        self.dispatched += 1
         return stolen.bindings
 
     def _pick_victim(self, thief: int) -> Optional[int]:
@@ -312,17 +288,7 @@ class CubeScheduler:
         ]
         if not candidates:
             return None
-        if self.steal_order == "busiest":
-            return max(candidates, key=lambda w: (len(self._queues[w]), -w))
-        if self.steal_order == "reverse":
-            return max(candidates)
-        # "roundrobin": cycling scan so steal pressure spreads out.
-        for offset in range(self.jobs):
-            worker = (self._roundrobin + offset) % self.jobs
-            if worker in candidates:
-                self._roundrobin = (worker + 1) % self.jobs
-                return worker
-        return None
+        return max(candidates, key=lambda w: (len(self._queues[w]), -w))
 
     def splittable(self, bindings: Dict[str, str]) -> bool:
         """Whether a cube has an unpinned branching task left."""
@@ -361,7 +327,7 @@ class CubeScheduler:
         hypervolume priorities; the revision bump makes every queue
         re-sort lazily on its next access.
         """
-        if self.schedule != "stealing" or not self._profiles:
+        if not self._profiles:
             return
         changed = False
         for vector in vectors:

@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--conflict-budget",
         type=int,
         default=None,
-        help="total solver conflicts allowed per job",
+        help="solver conflicts allowed per explorer worker of a job",
     )
     parser.add_argument(
         "--chunk-conflicts",

@@ -75,9 +75,10 @@ class ServerConfig:
     port: int = 0  # 0 = ephemeral; the bound port is in server.address
     #: Concurrent solves (threads draining the priority queue).
     solve_workers: int = 2
-    #: Explorer parallelism per solve: 1 = sequential exact explorer
-    #: (bit-identical fronts *and witnesses* vs. a direct ``explore()``),
-    #: >1 = :class:`ParallelParetoExplorer` (identical vectors).
+    #: Explorer workers per solve: 1 = the sequential exact explorer
+    #: (identical vectors vs. a direct ``explore()``, and identical
+    #: witnesses too when ``chunk_conflicts`` is None), >1 = parallel
+    #: cube workers (identical vectors).
     solve_jobs: int = 1
     #: Backend for ``solve_jobs > 1``.
     parallel_backend: str = "process"
@@ -85,7 +86,8 @@ class ServerConfig:
     #: Wall-clock ceiling per solve (seconds); None = unlimited.  A
     #: request may *lower* it, never raise it.
     default_timeout: Optional[float] = None
-    #: Total conflict budget per job; None = unlimited.
+    #: Conflict budget of each explorer worker of a job (the job's
+    #: total when ``solve_jobs`` is 1); None = unlimited.
     conflict_budget: Optional[int] = None
     #: Conflicts per solver chunk — the cancellation/timeout latency
     #: knob.  None disables chunking (maximally faithful to a direct
@@ -539,58 +541,41 @@ class DseServer:
     def _solve_blocking(self, job: _Job):
         """Run one exact exploration (executor thread).
 
-        ``should_stop`` is polled once per solver chunk (and per model),
-        so cancellation, timeouts and the conflict budget all take
-        effect within ``chunk_conflicts`` conflicts.
+        ``should_stop`` is polled before every solver call, and each call
+        spends at most ``chunk_conflicts`` conflicts, so cancellation and
+        timeouts take effect within one chunk.  ``conflict_budget`` caps
+        the conflicts each worker spends; a run that hits it ends
+        interrupted without ``should_stop`` having fired.
         """
+        from repro.dse.parallel import ParallelParetoExplorer
+
         deadline = (
             None if job.timeout is None else time.monotonic() + job.timeout
         )
-        chunk = self.config.chunk_conflicts
-        budget = self.config.conflict_budget
-        budget_chunks = (
-            None
-            if budget is None or not chunk
-            else max(1, -(-budget // chunk))
-        )
-        state = {"chunks": 0}
+        stopped = False
 
         def should_stop() -> bool:
-            state["chunks"] += 1
+            nonlocal stopped
             if job.cancel_event.is_set():
-                return True
-            if deadline is not None and time.monotonic() > deadline:
-                job.timed_out = True
-                return True
-            if budget_chunks is not None and state["chunks"] > budget_chunks:
-                job.budget_exhausted = True
-                return True
-            return False
+                stopped = True
+            elif deadline is not None and time.monotonic() > deadline:
+                job.timed_out = stopped = True
+            return stopped
 
         def publish(vectors: Sequence[Tuple[int, ...]]) -> None:
             self._loop.call_soon_threadsafe(
                 self._broadcast_snapshot, job, list(vectors)
             )
 
-        if self.config.solve_jobs > 1:
-            from repro.dse.parallel import ParallelParetoExplorer
-
-            explorer = ParallelParetoExplorer(
-                job.instance,
-                jobs=self.config.solve_jobs,
-                backend=self.config.parallel_backend,
-                chunk_conflicts=chunk,
-                conflict_limit=budget,
-            )
-            return explorer.run(on_points=publish, should_stop=should_stop)
-        from repro.dse.explorer import ExactParetoExplorer
-
-        explorer = ExactParetoExplorer(job.instance, conflict_limit=chunk)
-        return explorer.run(
-            on_point=lambda point: publish([point.vector]),
-            should_stop=should_stop,
-            resume_on_interrupt=True,
-        )
+        result = ParallelParetoExplorer(
+            job.instance,
+            jobs=self.config.solve_jobs,
+            backend=self.config.parallel_backend,
+            chunk_conflicts=self.config.chunk_conflicts,
+            conflict_limit=self.config.conflict_budget,
+        ).run(on_points=publish, should_stop=should_stop)
+        job.budget_exhausted = result.statistics.interrupted and not stopped
+        return result
 
     # -- delivery ----------------------------------------------------------
 

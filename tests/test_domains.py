@@ -5,8 +5,7 @@ Covers the :class:`Dom` lattice algebra, the fixpoint analyzer
 components, dead-rule verdicts), the domain-aware join estimates, rule
 canonicalization, the grounder's ``domain_prune`` differential
 contract, the ``encode(domain_bounds=...)`` seeding path (fronts must
-be bit-identical on vs. off, sequentially and with two workers on both
-schedulers), and a curated-suite sweep asserting the new lint rules
+be bit-identical on vs. off, sequentially and with two workers), and a curated-suite sweep asserting the new lint rules
 produce zero false positives.
 """
 
@@ -349,8 +348,7 @@ class TestDomainBounds:
         ).run()
         assert base.vectors() == seeded.vectors()
 
-    @pytest.mark.parametrize("schedule", ["static", "stealing"])
-    def test_front_identical_parallel(self, schedule):
+    def test_front_identical_parallel(self):
         spec = curated("consumer_jpeg")
         objectives = ("latency", "cost")
         base = ExactParetoExplorer(
@@ -360,7 +358,6 @@ class TestDomainBounds:
             encode(spec, objectives=objectives, domain_bounds="on"),
             jobs=2,
             backend="inline",
-            schedule=schedule,
         ).run()
         assert base.vectors() == seeded.vectors()
 

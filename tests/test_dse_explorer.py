@@ -6,10 +6,12 @@ computes — for every archive implementation and with partial pruning on
 or off.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro.baselines import exhaustive_front
-from repro.dse.explorer import ExactParetoExplorer, explore
+from repro.dse.explorer import DseStatistics, ExactParetoExplorer, explore
 from repro.synthesis.encoding import encode
 from repro.synthesis.model import (
     Application,
@@ -135,3 +137,8 @@ class TestStatistics:
         second = explorer.run()  # already exhausted: nothing new
         assert second.statistics.models_enumerated == 0
         assert [p.vector for p in second.front] == [p.vector for p in first.front]
+
+    def test_to_dict_statistics_has_every_field_in_order(self):
+        result = explore(tradeoff_spec())
+        keys = list(result.to_dict()["statistics"])
+        assert keys == [field.name for field in fields(DseStatistics)]

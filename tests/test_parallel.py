@@ -3,7 +3,7 @@
 The load-bearing property is *exactness*: for every curated workload the
 parallel explorer returns bit-for-bit the sequential front — same
 vectors, same count — for any worker count, split depth, backend,
-archive-sharing mode, cube scheduler, steal order, and re-split budget.
+archive-sharing mode, and re-split budget.
 """
 
 import json
@@ -20,7 +20,7 @@ from repro.dse.parallel import (
     binding_choices,
     derive_cubes,
 )
-from repro.dse.scheduler import MAX_STEALING_CUBES, STEAL_ORDERS, TARGET_CUBE_FACTOR
+from repro.dse.scheduler import MAX_STEALING_CUBES, TARGET_CUBE_FACTOR
 from repro.synthesis.encoding import encode
 from repro.workloads.curated import CURATED_NAMES, curated
 
@@ -76,14 +76,12 @@ class TestCubes:
     def test_auto_split_depth_stealing_targets_more_cubes(self):
         spec = curated("network_firewall")
         max_depth = len(binding_choices(spec))
-        for jobs in (1, 2, 4):
-            depth = auto_split_depth(spec, jobs, schedule="stealing")
+        for jobs in (2, 4):
+            depth = auto_split_depth(spec, jobs)
             cubes = len(derive_cubes(spec, depth))
             assert cubes <= MAX_STEALING_CUBES
             # Either the target was reached or every binding level is used.
             assert cubes >= TARGET_CUBE_FACTOR * jobs or depth == max_depth
-            # Stealing needs deques to steal from even at jobs=1..2.
-            assert depth >= auto_split_depth(spec, jobs)
 
 
 class TestEquivalence:
@@ -158,7 +156,7 @@ class TestInjection:
 
     def test_chunked_stepping_resumes(self):
         explorer = ExactParetoExplorer(
-            encode(curated("consumer_jpeg")), conflict_limit=5
+            encode(curated("consumer_jpeg")), chunk_conflicts=5
         )
         reference = ExactParetoExplorer(encode(curated("consumer_jpeg"))).run()
         statuses = set()
@@ -291,13 +289,12 @@ class TestCli:
                 "--size", "3",
                 "--jobs", "2",
                 "--backend", "inline",
-                "--schedule", "static",
-                "--steal-order", "reverse",
                 "--resplit-budget", "100",
+                "--chunk-conflicts", "20",
             ]
         )
         assert code == 0
-        assert "scheduler: static" in capsys.readouterr().out
+        assert "scheduler: stealing" in capsys.readouterr().out
 
 
 class TestElasticScheduling:
@@ -312,13 +309,12 @@ class TestElasticScheduling:
         name=st.sampled_from(("consumer_jpeg", "auto_engine", "telecom_modem")),
         jobs=st.integers(1, 4),
         depth=st.one_of(st.none(), st.integers(1, 3)),
-        steal_order=st.sampled_from(STEAL_ORDERS),
         resplit=st.sampled_from((None, 25, 200, 1_000)),
         share=st.booleans(),
     )
     @settings(max_examples=12, deadline=None)
     def test_stealing_front_matches_sequential(
-        self, name, jobs, depth, steal_order, resplit, share, sequential_fronts
+        self, name, jobs, depth, resplit, share, sequential_fronts
     ):
         reference = sequential_fronts[name]
         result = ParallelParetoExplorer(
@@ -326,22 +322,16 @@ class TestElasticScheduling:
             jobs=jobs,
             split_depth=depth,
             backend="inline",
-            schedule="stealing",
-            steal_order=steal_order,
             resplit_conflicts=resplit,
             share_archive=share,
         ).run()
         assert result.vectors() == reference
 
-    @pytest.mark.parametrize("schedule", ("static", "stealing"))
-    def test_process_backend_both_schedules(
-        self, schedule, sequential_fronts
-    ):
+    def test_process_backend_three_workers(self, sequential_fronts):
         result = ParallelParetoExplorer(
             encode(curated("network_firewall")),
             jobs=3,
             backend="process",
-            schedule=schedule,
         ).run()
         assert result.vectors() == sequential_fronts["network_firewall"]
 
@@ -351,7 +341,6 @@ class TestElasticScheduling:
                 encode(curated("telecom_modem")),
                 jobs=3,
                 backend="inline",
-                schedule="stealing",
             )
             .run()
             .to_dict()
@@ -373,7 +362,6 @@ class TestElasticScheduling:
             jobs=2,
             split_depth=1,
             backend="inline",
-            schedule="stealing",
             chunk_conflicts=25,
             resplit_conflicts=50,
         ).run()
@@ -384,25 +372,11 @@ class TestElasticScheduling:
         )
         assert result.vectors() == sequential_fronts["network_firewall"]
 
-    def test_static_schedule_never_steals_or_resplits(self, sequential_fronts):
-        result = ParallelParetoExplorer(
-            encode(curated("consumer_jpeg")),
-            jobs=2,
-            backend="inline",
-            schedule="static",
-            chunk_conflicts=25,
-        ).run()
-        stats = result.statistics
-        assert stats.steals == 0
-        assert stats.resplits == 0
-        assert result.vectors() == sequential_fronts["consumer_jpeg"]
-
     def test_scheduler_statistics_surface_everywhere(self):
         result = ParallelParetoExplorer(
             encode(curated("auto_engine")),
             jobs=2,
             backend="inline",
-            schedule="stealing",
         ).run()
         stats = result.statistics
         assert stats.cubes_executed >= len(
@@ -430,3 +404,83 @@ class TestElasticScheduling:
         # The same vector re-offered is skipped by hash, not re-compared.
         assert explorer.inject_points([((3, 3, 3), None)]) == 0
         assert explorer.dedup_skips == 1
+
+
+class TestConflictBudget:
+    """``conflict_limit`` caps the conflicts each worker spends in a run.
+
+    Every solver call gets ``min(chunk_conflicts, remaining budget)``;
+    network_firewall needs 1915 conflicts sequentially.
+    """
+
+    def test_sequential_budget_interrupts_within_the_limit(self):
+        stats = explore(
+            curated("network_firewall"), conflict_limit=1000
+        ).statistics
+        assert stats.interrupted
+        assert stats.conflicts <= 1000
+
+    @pytest.mark.parametrize("chunk", (200, None))
+    def test_every_worker_stays_within_the_limit(self, chunk):
+        stats = (
+            ParallelParetoExplorer(
+                encode(curated("network_firewall")),
+                jobs=2,
+                backend="inline",
+                conflict_limit=300,
+                chunk_conflicts=chunk,
+            )
+            .run()
+            .statistics
+        )
+        assert stats.interrupted
+        assert len(stats.per_worker) == 2
+        assert all(entry["conflicts"] <= 300 for entry in stats.per_worker)
+
+
+class TestOneLoop:
+    """Sequential exploration is the one-worker, one-cube loop."""
+
+    def test_sequential_run_builds_one_control(self, monkeypatch):
+        from repro.asp.control import Control
+
+        built = []
+        original = Control.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Control, "__init__", counting)
+        ExactParetoExplorer(encode(curated("auto_engine"))).run()
+        assert len(built) == 1
+
+    def test_sequential_statistics_describe_one_worker(self):
+        stats = ExactParetoExplorer(encode(curated("auto_engine"))).run().statistics
+        assert stats.cubes_executed == 1
+        assert stats.steals == stats.resplits == 0
+        assert stats.archive_delta_bytes == 0  # no one to publish to
+        (entry,) = stats.per_worker
+        assert entry["conflicts"] == stats.conflicts
+        assert entry["models_enumerated"] == stats.models_enumerated
+
+    def test_one_job_is_the_sequential_explorer(self):
+        sequential = ExactParetoExplorer(encode(curated("telecom_modem"))).run()
+        one_job = ParallelParetoExplorer(
+            encode(curated("telecom_modem")), jobs=1, backend="process"
+        ).run()
+        assert one_job.to_dict()["front"] == sequential.to_dict()["front"]
+        assert one_job.statistics.conflicts == sequential.statistics.conflicts
+
+    def test_lint_counters_match_sequential(self):
+        instance = encode(curated("auto_engine"))
+        sequential = ExactParetoExplorer(instance, lint=True).run().statistics
+        parallel = (
+            ParallelParetoExplorer(instance, jobs=2, backend="inline", lint=True)
+            .run()
+            .statistics
+        )
+        assert sequential.lint_infos >= 1
+        for key in ("lint_errors", "lint_warnings", "lint_infos"):
+            assert getattr(parallel, key) == getattr(sequential, key), key
+        assert parallel.lint_seconds > 0

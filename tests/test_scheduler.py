@@ -5,17 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dse.parallel import binding_choices, derive_cubes
-from repro.dse.scheduler import (
-    ArchiveDelta,
-    CubeScheduler,
-    STEAL_ORDERS,
-    cube_objective_box,
-)
+from repro.dse.scheduler import ArchiveDelta, CubeScheduler, cube_objective_box
 from repro.synthesis.encoding import encode
 from repro.workloads.curated import curated
 
 
-def _scheduler(name="consumer_jpeg", jobs=2, depth=2, **kwargs):
+def _scheduler(name="consumer_jpeg", jobs=2, depth=2):
     spec = curated(name)
     instance = encode(spec)
     cubes = derive_cubes(spec, depth)
@@ -25,7 +20,6 @@ def _scheduler(name="consumer_jpeg", jobs=2, depth=2, **kwargs):
             jobs,
             choices=binding_choices(spec),
             objectives=instance.objectives,
-            **kwargs,
         ),
         cubes,
     )
@@ -84,16 +78,8 @@ class TestObjectiveBox:
 
 
 class TestScheduling:
-    def test_static_schedule_is_the_round_robin_order(self):
-        scheduler, cubes = _scheduler(jobs=2, schedule="static")
-        for worker in (0, 1):
-            share = cubes[worker::2]
-            assert [scheduler.next_cube(worker) for _ in share] == share
-        assert scheduler.next_cube(0) is None  # static never steals
-        assert scheduler.steals == [0, 0]
-
     def test_stealing_drains_every_cube_exactly_once(self):
-        scheduler, cubes = _scheduler(jobs=2, schedule="stealing")
+        scheduler, cubes = _scheduler(jobs=2)
         seen = []
         while True:  # worker 0 hogs the scheduler and steals the rest
             cube = scheduler.next_cube(0)
@@ -106,13 +92,10 @@ class TestScheduling:
         assert len(seen) == len(set(seen))
         assert scheduler.steals[0] == len(cubes) - len(cubes[0::2])
 
-    @pytest.mark.parametrize("order", STEAL_ORDERS)
-    def test_steal_orders_are_deterministic(self, order):
+    def test_stealing_is_deterministic(self):
         runs = []
         for _repeat in range(2):
-            scheduler, _cubes = _scheduler(
-                jobs=3, depth=3, schedule="stealing", steal_order=order
-            )
+            scheduler, _cubes = _scheduler(jobs=3, depth=3)
             trace = []
             while True:
                 cube = scheduler.next_cube(2)  # always idle → always steals
@@ -123,7 +106,7 @@ class TestScheduling:
         assert runs[0] == runs[1]
 
     def test_busiest_victim_has_the_deepest_queue(self):
-        scheduler, _cubes = _scheduler(jobs=3, depth=3, schedule="stealing")
+        scheduler, _cubes = _scheduler(jobs=3, depth=3)
         # Drain worker 1 so queue depths differ.
         while scheduler._queues[1]:
             scheduler.next_cube(1)
@@ -132,7 +115,7 @@ class TestScheduling:
         assert sizes[victim] == max(sizes[w] for w in (0, 2))
 
     def test_observe_reorders_queues_by_hypervolume(self):
-        scheduler, cubes = _scheduler(jobs=1, depth=2, schedule="stealing")
+        scheduler, cubes = _scheduler(jobs=1, depth=2)
         first_before = scheduler.next_cube(0)
         # A utopia archive point dominates every cube's box, so all
         # priorities collapse to 0 and the (lazily re-sorted) queue falls
@@ -148,7 +131,7 @@ class TestScheduling:
         assert remaining == [cube for cube in cubes if cube != first_before]
 
     def test_resplit_children_partition_the_parent(self):
-        scheduler, _cubes = _scheduler(jobs=1, depth=1, schedule="stealing")
+        scheduler, _cubes = _scheduler(jobs=1, depth=1)
         parent = scheduler.next_cube(0)
         before = scheduler.outstanding()
         spec = curated("consumer_jpeg")
@@ -172,14 +155,15 @@ class TestScheduling:
     def test_resplit_exhausted_cube_returns_zero(self):
         spec = curated("consumer_jpeg")
         full_depth = len(binding_choices(spec))
-        scheduler, cubes = _scheduler(
-            jobs=1, depth=full_depth, schedule="stealing"
-        )
+        scheduler, cubes = _scheduler(jobs=1, depth=full_depth)
         assert not scheduler.splittable(cubes[0])
         assert scheduler.resplit(0, cubes[0]) == 0
 
     def test_invalid_parameters_are_rejected(self):
-        with pytest.raises(ValueError):
-            _scheduler(schedule="chaotic")
-        with pytest.raises(ValueError):
-            _scheduler(steal_order="random")
+        from repro.dse.parallel import ParallelParetoExplorer
+
+        instance = encode(curated("consumer_jpeg"))
+        with pytest.raises(ValueError, match="jobs"):
+            ParallelParetoExplorer(instance, jobs=0)
+        with pytest.raises(ValueError, match="backend"):
+            ParallelParetoExplorer(instance, backend="threads")

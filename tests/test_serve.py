@@ -30,6 +30,7 @@ from repro.synthesis.model import (
     Task,
 )
 from repro.synthesis.solution import Implementation, validate
+from repro.workloads.curated import curated
 
 
 def tradeoff_spec() -> Specification:
@@ -461,6 +462,46 @@ def test_timeout_returns_partial_and_is_never_cached():
     assert fresh.ok and not fresh.cached
     assert server.counters["solves_started"] == 2
     assert server.cache.stats.insertions == 1
+
+
+def solve_network_firewall(**config):
+    """Solve curated network_firewall (1915 conflicts unchunked) once."""
+
+    async def scenario():
+        server = await started_server(**config)
+        host, port = server.address
+        client = await ServeClient.connect(host, port)
+        try:
+            outcome = await client.solve(
+                specification_to_dict(curated("network_firewall"))
+            )
+        finally:
+            await client.close()
+        await server.shutdown()
+        return server, outcome
+
+    return run(scenario())
+
+
+def test_conflict_budget_counts_conflicts_not_polls():
+    # The budget caps the conflicts of the job's one worker; polling
+    # should_stop once per model and per chunk must not spend it.
+    server, outcome = solve_network_firewall(conflict_budget=5000)
+    assert outcome.ok, outcome.cancelled
+    assert outcome.result["statistics"]["conflicts"] <= 5000
+    served = sorted(tuple(e["vector"]) for e in outcome.result["front"])
+    assert served == explore(curated("network_firewall")).vectors()
+    assert server.cache.stats.insertions == 1
+
+
+def test_unchunked_conflict_budget_still_binds():
+    server, outcome = solve_network_firewall(
+        conflict_budget=1000, chunk_conflicts=None
+    )
+    assert outcome.cancelled is not None
+    assert outcome.cancelled["reason"] == "conflict-budget"
+    assert outcome.cancelled["partial"]["statistics"]["conflicts"] <= 1000
+    assert len(server.cache) == 0
 
 
 def test_client_cancellation(monkeypatch):

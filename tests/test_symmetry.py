@@ -7,8 +7,8 @@ Three layers:
 * the platform analysis + constraint synthesis
   (:mod:`repro.analysis.symmetry`),
 * end-to-end exactness: curated and generated fronts are vector-identical
-  with breaking on or off, sequentially and through both parallel
-  schedulers (the acceptance property of docs/SYMMETRY.md).
+  with breaking on or off, sequentially and with two parallel workers
+  (the acceptance property of docs/SYMMETRY.md).
 """
 
 import itertools
@@ -264,14 +264,11 @@ class TestFrontEquivalence:
         # Breaking must not make the search harder on the showcase.
         assert stats.conflicts < off.statistics.conflicts
 
-    @pytest.mark.parametrize("schedule", ["static", "stealing"])
-    def test_mesh_symmetric_parallel(self, schedule):
+    def test_mesh_symmetric_parallel(self):
         spec = curated("mesh_symmetric")
         off = explore(spec)
         instance = encode(spec, symmetry="on")
-        result = ParallelParetoExplorer(
-            instance, jobs=2, backend="inline", schedule=schedule
-        ).run()
+        result = ParallelParetoExplorer(instance, jobs=2, backend="inline").run()
         assert result.vectors() == off.vectors()
         assert result.statistics.symmetry_applied
         assert result.statistics.symmetry_order == 8
