@@ -3,7 +3,7 @@
 The package provides a rule-based linter that runs over the parsed AST
 *before* grounding (``repro.analysis.linter``), an abstract domain
 analyzer inferring per-argument constant sets/intervals/shapes that
-also prunes the grounder and seeds theory bounds
+drives the linter's domain checks and serve admission's work estimate
 (``repro.analysis.domains``, see ``docs/DOMAINS.md``), a
 grounder-equivalent variable-safety analysis
 (``repro.analysis.safety``), a
@@ -47,7 +47,6 @@ from repro.analysis.diagnostics import (
 from repro.analysis.domains import (
     Dom,
     DomainAnalysis,
-    DomainInfo,
     analyze_program,
     analyze_rules,
     canonical_rule,
@@ -88,7 +87,6 @@ __all__ = [
     "lex_leader_program",
     "Dom",
     "DomainAnalysis",
-    "DomainInfo",
     "analyze_program",
     "analyze_rules",
     "canonical_rule",

@@ -21,17 +21,14 @@ recovers precision lost to widening whenever the narrowed state is
 still a post-fixpoint.
 
 The soundness contract — every atom the grounder can derive lies in
-the inferred domains — is what makes the three consumers safe:
+the inferred domains — is what makes the two consumers safe:
 
 * the **linter** turns empty meets into ``type-conflict`` /
   ``empty-domain`` / ``comparison-out-of-range`` /
   ``constraint-vacuous`` diagnostics and sharpens the
   ``grounding-blowup`` estimate (see ``docs/DOMAINS.md``);
-* the **grounder** (``Grounder(domain_prune=True)``) skips rules whose
-  body provably never matches and uses per-rule variable domains plus
-  eagerly evaluated comparison guards as join pre-filters;
-* the **theory layer** seeds objective variables with the inferred
-  ``&dom`` guard intervals (``encode(spec, domain_bounds="on")``).
+* **serve admission** (:func:`repro.serve.admission.estimate_work`)
+  orders its queue by the domain-aware relation-size estimates.
 
 The contract is enforced by ``tests/test_domains.py`` and the
 ``domain-soundness`` fuzz oracle (``repro.fuzz.oracles``).
@@ -40,7 +37,7 @@ The contract is enforced by ``tests/test_domains.py`` and the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -53,7 +50,6 @@ from repro.asp.syntax import Function, Number, String, Symbol
 __all__ = [
     "Dom",
     "DomainAnalysis",
-    "DomainInfo",
     "DeadRule",
     "TOP",
     "EMPTY",
@@ -603,11 +599,11 @@ class _RuleView:
         self.rule = rule
         self.index = index
         self.positives: List[ast.Literal] = []
-        #: ``(effective_op, lhs, rhs, body_index, location)`` — the op
-        #: already accounts for default negation.
-        self.comparisons: List[Tuple[str, ast.Term, ast.Term, int, object]] = []
+        #: ``(effective_op, lhs, rhs, location)`` — the op already
+        #: accounts for default negation.
+        self.comparisons: List[Tuple[str, ast.Term, ast.Term, object]] = []
         self.body_sigs: Set[Signature] = set()
-        for position, item in enumerate(rule.body):
+        for item in rule.body:
             if isinstance(item, ast.Literal):
                 if isinstance(item.atom, ast.FunctionTerm):
                     self.body_sigs.add((item.atom.name, len(item.atom.arguments)))
@@ -618,7 +614,7 @@ class _RuleView:
                     if item.sign == 1:
                         op = _NEGATED_OP[op]
                     self.comparisons.append(
-                        (op, item.atom.lhs, item.atom.rhs, position, item.location)
+                        (op, item.atom.lhs, item.atom.rhs, item.location)
                     )
             elif isinstance(item, ast.Aggregate):
                 for element in item.elements:
@@ -649,32 +645,12 @@ class _RuleView:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DomainInfo:
-    """Summary of one domain-analysis run (mirrors ``SymmetryInfo``)."""
-
-    mode: str = "off"
-    applied: bool = False
-    predicates: int = 0
-    positions: int = 0
-    widenings: int = 0
-    dead_rules: int = 0
-    seconds: float = 0.0
-    #: Inferred sound bounds per theory/objective variable name.
-    bounds: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    declined: Optional[str] = None
-
-
 class DomainAnalysis:
     """Result of :func:`analyze_rules`.
 
     ``domains`` maps each derivable predicate signature to one
     :class:`Dom` per argument position.  ``dead`` maps rule indices
-    (into the analyzed rule list) to :class:`DeadRule` verdicts;
-    ``envs`` holds the final per-rule variable environments;
-    ``true_comparisons`` the body indices of builtins that are
-    statically true; ``dom_intervals`` the joined ``&dom`` guard
-    interval per guard-variable signature.
+    (into the analyzed rule list) to :class:`DeadRule` verdicts.
     """
 
     def __init__(self, rules: Sequence[ast.Rule], externals=()):  # noqa: C901
@@ -684,15 +660,15 @@ class DomainAnalysis:
         self.narrowings = 0
         self.domains: Dict[Signature, Tuple[Dom, ...]] = {}
         self.dead: Dict[int, DeadRule] = {}
-        self.envs: Dict[int, Dict[str, Dom]] = {}
-        self.true_comparisons: Dict[int, Set[int]] = {}
-        self.dom_intervals: Dict[Signature, Tuple[int, int]] = {}
         self._externals = frozenset(externals)
         for name, arity in self._externals:
             self.domains[(name, arity)] = tuple(TOP for _ in range(arity))
         views = [_RuleView(rule, index) for index, rule in enumerate(self.rules)]
         self._run_fixpoint(views)
-        self._final_pass(views)
+        # Re-evaluate every rule against the converged domains to record
+        # the dead verdicts.
+        for view in views:
+            self._rule_env(view, record=True)
         self.seconds = perf_counter() - started
 
     # -- fixpoint -----------------------------------------------------------
@@ -837,9 +813,8 @@ class DomainAnalysis:
     ) -> Optional[Dict[str, Dom]]:
         """Compute the per-rule variable environment, or ``None`` when the
         rule is dead under the current domains.  With ``record=True``
-        the dead verdict and statically-true comparisons are stored."""
+        the dead verdict is stored."""
         env: Dict[str, Dom] = {}
-        true_comparisons: Set[int] = set()
         for _ in range(3):
             changed = False
             for literal in view.positives:
@@ -919,7 +894,7 @@ class DomainAnalysis:
                                     cause, what, literal.location
                                 )
                             return None
-            for op, lhs, rhs, body_index, location in view.comparisons:
+            for op, lhs, rhs, location in view.comparisons:
                 status = cmp_status(op, eval_term(lhs, env), eval_term(rhs, env))
                 if status is False:
                     if record:
@@ -930,7 +905,6 @@ class DomainAnalysis:
                         )
                     return None
                 if status is True:
-                    true_comparisons.add(body_index)
                     continue
                 if isinstance(lhs, ast.Variable) and lhs.name != "_":
                     if _refine_comparison(op, lhs.name, eval_term(rhs, env), env):
@@ -942,10 +916,6 @@ class DomainAnalysis:
                         changed = True
             if not changed:
                 break
-        if record:
-            self.envs[view.index] = env
-            if true_comparisons:
-                self.true_comparisons[view.index] = true_comparisons
         return env
 
     def _refine_condition(
@@ -976,39 +946,6 @@ class DomainAnalysis:
                 if status is False:
                     return "comparison"
         return None
-
-    # -- final pass ---------------------------------------------------------
-
-    def _final_pass(self, views: List[_RuleView]) -> None:
-        """Re-evaluate every rule against the converged domains: record
-        dead verdicts, final environments, statically-true comparisons,
-        and the joined ``&dom`` guard intervals."""
-        for view in views:
-            env = self._rule_env(view, record=True)
-            if env is None:
-                continue
-            head = view.rule.head
-            if isinstance(head, ast.TheoryAtom) and head.name == "dom":
-                self._record_dom_interval(head, env)
-
-    def _record_dom_interval(self, atom: ast.TheoryAtom, env: Dict[str, Dom]) -> None:
-        if atom.guard is None or atom.guard[0] != "=" or not atom.elements:
-            return
-        guard_term = atom.guard[1]
-        if not isinstance(guard_term, ast.FunctionTerm):
-            return
-        sig = (guard_term.name, len(guard_term.arguments))
-        for element in atom.elements:
-            if not element.terms:
-                continue
-            lo, hi = eval_term(element.terms[0], env).numeric_range()
-            if lo > hi or lo <= NINF or hi >= PINF:
-                continue
-            if sig in self.dom_intervals:
-                old_lo, old_hi = self.dom_intervals[sig]
-                self.dom_intervals[sig] = (min(old_lo, lo), max(old_hi, hi))
-            else:
-                self.dom_intervals[sig] = (lo, hi)
 
     # -- public queries -----------------------------------------------------
 
@@ -1074,22 +1011,6 @@ class DomainAnalysis:
                 total *= 1.0
             bound |= variables
         return total
-
-    def info(self, mode: str = "on", applied: bool = True) -> DomainInfo:
-        return DomainInfo(
-            mode=mode,
-            applied=applied,
-            predicates=len(self.domains),
-            positions=sum(len(doms) for doms in self.domains.values()),
-            widenings=self.widenings,
-            dead_rules=len(self.dead),
-            seconds=self.seconds,
-            bounds={
-                name: interval
-                for (name, arity), interval in sorted(self.dom_intervals.items())
-                if arity == 0
-            },
-        )
 
 
 def _collect_variables(term: ast.Term, out: Set[str]) -> None:

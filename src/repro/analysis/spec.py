@@ -234,7 +234,8 @@ def _check_platform_symmetry(instance) -> List[Diagnostic]:
             f"platform has {symmetry.order - 1} non-trivial automorphism(s) "
             f"across {len(orbits)} resource orbit(s) "
             f"({', '.join('{' + ', '.join(o) + '}' for o in orbits)}); "
-            f"symmetry breaking recommended (encode with symmetry='auto')",
+            f"symmetry breaking recommended (encode with the default "
+            f"symmetry='auto')",
         )
     ]
 

@@ -40,14 +40,16 @@ appear: the Pareto front *of vectors* is bit-identical with breaking on
 or off.  The guarantee needs ``routing="free"`` (fixed-route tables
 pick one canonical path per pair whose energy/cost need not be
 ``pi``-invariant) and no pinned bindings (a pin can exclude the orbit's
-lex-minimal representative); callers gate both.
+lex-minimal representative): ``encode`` declines under fixed routing,
+and :func:`repro.dse.explorer.pin_symmetry` turns breaking off for
+pinned explorations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.graph import AutomorphismGroup, ColoredGraph
 
@@ -91,7 +93,7 @@ class SymmetryInfo:
     a small summary rather than the full :class:`PlatformSymmetry`.
     """
 
-    #: The requested mode ("on" or "auto").
+    #: The requested mode (always "auto"; ``symmetry="off"`` records none).
     mode: str
     #: Whether lex-leader constraints were injected into the program.
     applied: bool
@@ -156,9 +158,11 @@ def lex_leader_program(spec, symmetry: PlatformSymmetry) -> Tuple[str, int]:
     """Ground lex-leader rules for ``spec`` under ``symmetry``.
 
     Returns ``(program_text, constraint_count)`` where the count is the
-    number of integrity constraints (the ``gt`` cases); ``("", 0)`` when
-    no generator constrains any binding (e.g. symmetries moving only
-    routers, which no ``bind/2`` atom observes).
+    number of distinct integrity constraints (the ``gt`` cases); ``("",
+    0)`` when no generator constrains any binding (e.g. symmetries
+    moving only routers, which no ``bind/2`` atom observes).  A
+    first-position constraint has no prefix, so two generators can
+    produce the same one; it is emitted once.
     """
     index = {name: i for i, name in enumerate(symmetry.resources)}
     options_by_task: Dict[str, List[str]] = {}
@@ -167,7 +171,7 @@ def lex_leader_program(spec, symmetry: PlatformSymmetry) -> Tuple[str, int]:
     task_order = [task.name for task in spec.application.tasks]
 
     lines: List[str] = []
-    count = 0
+    constraints: Set[str] = set()
     for gen_id, perm in enumerate(symmetry.generators, 1):
         moved = {i for i, image in enumerate(perm) if image != i}
         # Positions: tasks (in declaration order) with an option on a
@@ -198,8 +202,10 @@ def lex_leader_program(spec, symmetry: PlatformSymmetry) -> Tuple[str, int]:
         prefix = ""
         for j, (task, eq, gt) in enumerate(positions[:last_gt], 1):
             for resource in gt:
-                lines.append(f":- {prefix}bind({task}, {resource}).")
-                count += 1
+                constraint = f":- {prefix}bind({task}, {resource})."
+                if constraint not in constraints:
+                    constraints.add(constraint)
+                    lines.append(constraint)
             if j == last_gt:
                 break
             for resource in eq:
@@ -207,4 +213,4 @@ def lex_leader_program(spec, symmetry: PlatformSymmetry) -> Tuple[str, int]:
             body = f"{prefix}sym_eq({gen_id}, {j})."
             lines.append(f"sym_pre({gen_id}, {j}) :- {body}")
             prefix = f"sym_pre({gen_id}, {j}), "
-    return "\n".join(lines), count
+    return "\n".join(lines), len(constraints)

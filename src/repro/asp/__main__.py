@@ -147,13 +147,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"Delta rounds: {grounding.delta_rounds}"
                 + ("  (cache hit)" if control.ground_cache_hit else "")
             )
-            if grounding.domain_prune:
-                print(
-                    f"Domains: {grounding.domain_predicates} predicate(s)  "
-                    f"Pruned: {grounding.pruned_instances}  "
-                    f"Dead rules skipped: {grounding.rules_skipped}  "
-                    f"Analysis: {grounding.domain_seconds:.3f}s"
-                )
         if control.lint_report is not None:
             report = control.lint_report
             print(

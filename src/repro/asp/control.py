@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.asp.completion import Translation, translate
 from repro.asp.ground import GroundProgram
-from repro.asp.grounder import Grounder, domain_prune_default
+from repro.asp.grounder import Grounder
 from repro.asp.parser import parse_program
 from repro.asp.propagator import PropagatorInit, TheoryPropagator
 from repro.asp.solver import Solver, SolverStatistics
@@ -74,23 +74,19 @@ def ground_cache_info() -> Dict[str, int]:
 
 
 def _ground_text_cached(
-    text: str, cache: bool, mode: str, domain_prune: Optional[bool] = None
+    text: str, cache: bool, mode: str
 ) -> Tuple[GroundProgram, bool]:
     """Ground ``text`` into a :class:`GroundProgram`; returns (program, hit).
 
-    The LRU is keyed on the exact program text (plus grounding mode and
-    the effective domain-prune flag — outputs are identical either way,
-    but the attached statistics are not), so repeated
-    ``explore()``/``Control`` runs over the same instance —
+    The LRU is keyed on the grounding mode and the exact program text,
+    so repeated ``explore()``/``Control`` runs over the same instance —
     benchmark repetitions, parallel workers on one machine, test
     fixtures — instantiate it once.  Sharing is safe because nothing
     downstream mutates a :class:`GroundProgram` (the translator only
     reads it; the dependency-graph cache is idempotent).
     """
     global _ground_cache_hits, _ground_cache_misses
-    if domain_prune is None:
-        domain_prune = domain_prune_default()
-    key = (mode, bool(domain_prune), text)
+    key = (mode, text)
     if cache:
         program = _ground_cache.get(key)
         if program is not None:
@@ -99,7 +95,7 @@ def _ground_text_cached(
             return program, True
         _ground_cache_misses += 1
     parsed = parse_program(text)
-    grounder = Grounder(parsed, mode=mode, domain_prune=domain_prune)
+    grounder = Grounder(parsed, mode=mode)
     rules = grounder.ground()
     program = GroundProgram(
         rules,
@@ -117,20 +113,15 @@ def _ground_text_cached(
 
 
 def ground_text(
-    text: str,
-    cache: bool = True,
-    mode: str = "seminaive",
-    domain_prune: Optional[bool] = None,
+    text: str, cache: bool = True, mode: str = "seminaive"
 ) -> GroundProgram:
     """Ground program ``text`` into a reusable :class:`GroundProgram`.
 
     The resulting artifact is picklable (``to_bytes``/``from_bytes``)
     and can be passed to :meth:`Control.ground` — or shipped to another
-    process — to skip instantiation entirely.  ``domain_prune`` opts
-    in/out of abstract-domain join pruning (``None`` follows the
-    ``REPRO_DOMAIN_PRUNE`` environment default).
+    process — to skip instantiation entirely.
     """
-    program, _hit = _ground_text_cached(text, cache, mode, domain_prune)
+    program, _hit = _ground_text_cached(text, cache, mode)
     return program
 
 
@@ -249,7 +240,6 @@ class Control:
         cache: bool = True,
         mode: str = "seminaive",
         lint: object = False,
-        domain_prune: Optional[bool] = None,
     ) -> None:
         """Instantiate and translate the program.
 
@@ -273,7 +263,7 @@ class Control:
                 "(multi-shot grounding is not supported)"
             )
         if program is None:
-            program = self.instantiate(cache, mode, lint, domain_prune)
+            program = self.instantiate(cache, mode, lint)
         self._shows = program.shows
         self._external_signatures = set(program.externals)
         self._ground_program = program
@@ -299,7 +289,6 @@ class Control:
         cache: bool = True,
         mode: str = "seminaive",
         lint: object = False,
-        domain_prune: Optional[bool] = None,
     ) -> GroundProgram:
         """The grounding half of :meth:`ground`, without the translation.
 
@@ -311,7 +300,7 @@ class Control:
         text = "\n".join(self._parts)
         if lint:
             self._lint(text, lint)
-        program, hit = _ground_text_cached(text, cache, mode, domain_prune)
+        program, hit = _ground_text_cached(text, cache, mode)
         self.ground_cache_hit = hit
         if not hit:
             self.grounds += 1

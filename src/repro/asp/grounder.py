@@ -30,7 +30,6 @@ encodings do not need them.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -50,22 +49,10 @@ __all__ = [
     "GroundTheoryAtom",
     "TheoryTermOp",
     "Grounder",
-    "domain_prune_default",
     "evaluate_term",
     "evaluate_comparison",
     "ground_program",
 ]
-
-
-def domain_prune_default() -> bool:
-    """Domain-analysis pruning default: on, unless ``REPRO_DOMAIN_PRUNE``
-    disables it (``off``/``0``/``false``/``no``)."""
-    return os.environ.get("REPRO_DOMAIN_PRUNE", "on").lower() not in (
-        "off",
-        "0",
-        "false",
-        "no",
-    )
 
 
 class GroundingError(Exception):
@@ -80,25 +67,12 @@ class GroundingStatistics:
     substitution produced by the body join); ``delta_rounds`` counts the
     semi-naive re-evaluation rounds beyond each batch's first full pass
     (for the naive mode: full fixpoint passes beyond the first).
-
-    With ``domain_prune`` enabled, ``pruned_instances`` counts partial
-    join substitutions rejected by eagerly evaluated comparison guards
-    or per-variable domain filters (each would otherwise have grown into
-    one or more full instantiations), ``rules_skipped`` counts rules the
-    domain analysis proved dead before instantiation, and the
-    ``domain_*`` fields summarize the analysis itself.
     """
 
     mode: str = "seminaive"
     seconds: float = 0.0
     instantiations: int = 0
     delta_rounds: int = 0
-    domain_prune: bool = False
-    domain_seconds: float = 0.0
-    domain_predicates: int = 0
-    domain_widenings: int = 0
-    pruned_instances: int = 0
-    rules_skipped: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +632,7 @@ class _LiteralPlan:
 
 
 class _RulePlan:
-    """Per-rule instantiation metadata: body split, occurrence cache.
-
-    ``guards`` and ``var_doms`` are filled by the grounder when domain
-    pruning is active: eagerly evaluable comparison literals (with their
-    variable sets) and per-variable abstract domains used as join-time
-    pre-filters.
-    """
+    """Per-rule instantiation metadata: body split, occurrence cache."""
 
     __slots__ = (
         "rule",
@@ -673,14 +641,10 @@ class _RulePlan:
         "others",
         "occurrences",
         "head_signatures",
-        "guards",
-        "var_doms",
     )
 
     def __init__(self, rule: ast.Rule, is_binder) -> None:
         self.rule = rule
-        self.guards: Tuple[Tuple[ast.Literal, frozenset], ...] = ()
-        self.var_doms: Optional[Dict[str, object]] = None
         self.positive_literals: List[ast.Literal] = []
         self.others: List[ast.BodyItem] = []
         for item in rule.body:
@@ -714,12 +678,7 @@ class Grounder:
       differential-testing reference.
     """
 
-    def __init__(
-        self,
-        program: ast.Program,
-        mode: str = "seminaive",
-        domain_prune: Optional[bool] = None,
-    ):
+    def __init__(self, program: ast.Program, mode: str = "seminaive"):
         if mode not in ("seminaive", "naive"):
             raise ValueError(f"unknown grounding mode {mode!r}")
         self._mode = mode
@@ -739,60 +698,7 @@ class Grounder:
         # Semi-naive delta bookkeeping (per batch).
         self._track_delta = False
         self._delta_next: Dict[Signature, Dict[Function, None]] = {}
-        # Domain-analysis pruning: the naive mode stays the untouched
-        # differential reference, so pruning only arms the semi-naive path.
-        if domain_prune is None:
-            domain_prune = domain_prune_default()
-        self._domain_prune = bool(domain_prune) and mode == "seminaive"
-        self.domain_analysis = None
-        self._dead_rules: Set[int] = set()
-        self.statistics = GroundingStatistics(
-            mode=mode, domain_prune=self._domain_prune
-        )
-        if self._domain_prune:
-            self._prepare_domain_pruning(program)
-
-    def _prepare_domain_pruning(self, program: ast.Program) -> None:
-        """Run the abstract domain analysis and attach its verdicts to the
-        rule plans: provably-dead rules are skipped outright; eagerly
-        evaluable comparison guards and per-variable domain filters prune
-        the indexed join.  Soundness of the analysis guarantees the
-        emitted ground program is identical with pruning off (enforced by
-        the ``domain-soundness`` fuzz oracle) — an analysis failure
-        therefore just disables pruning instead of failing the grounding.
-        """
-        from repro.analysis.domains import analyze_rules
-
-        try:
-            analysis = analyze_rules(self._rules, program.externals)
-        except Exception:
-            self._domain_prune = False
-            self.statistics.domain_prune = False
-            return
-        self.domain_analysis = analysis
-        self._dead_rules = set(analysis.dead)
-        self.statistics.domain_seconds = analysis.seconds
-        self.statistics.domain_predicates = len(analysis.domains)
-        self.statistics.domain_widenings = analysis.widenings
-        for index, plan in enumerate(self._plans):
-            env = analysis.envs.get(index)
-            if env is None:
-                continue
-            statically_true = analysis.true_comparisons.get(index, ())
-            guards = []
-            for position, item in enumerate(plan.rule.body):
-                if (
-                    isinstance(item, ast.Literal)
-                    and isinstance(item.atom, ast.Comparison)
-                    and not self._is_binder(item)
-                    and position not in statically_true
-                ):
-                    guards.append((item, frozenset(literal_variables(item))))
-            plan.guards = tuple(guards)
-            var_doms = {
-                name: dom for name, dom in env.items() if not dom.is_top
-            }
-            plan.var_doms = var_doms or None
+        self.statistics = GroundingStatistics(mode=mode)
 
     # -- #const substitution --------------------------------------------------
 
@@ -995,12 +901,7 @@ class Grounder:
         without recursion through an open signature finish after the
         first round — there is no verification pass to pay for.
         """
-        plans = []
-        for index in rule_indices:
-            if index in self._dead_rules:
-                self.statistics.rules_skipped += 1
-                continue
-            plans.append(self._plans[index])
+        plans = [self._plans[index] for index in rule_indices]
         delta_plans: List[Tuple[_RulePlan, List[int]]] = []
         for plan in plans:
             positions = [
@@ -1219,11 +1120,7 @@ class Grounder:
         restrict = None
         if delta_position is not None:
             restrict = (plan.positives[delta_position], delta_atoms)
-        guards = plan.guards if self._domain_prune else ()
-        var_doms = plan.var_doms if self._domain_prune else None
-        for subst in self._join_indexed(
-            plan.positives, {}, restrict, guards, var_doms
-        ):
+        for subst in self._join_indexed(plan.positives, {}, restrict):
             self._emit_instance(
                 plan.rule, plan.positive_literals, plan.others, subst
             )
@@ -1233,8 +1130,6 @@ class Grounder:
         plans: List[_LiteralPlan],
         subst: Dict[str, Symbol],
         restrict: Optional[Tuple[_LiteralPlan, List[Function]]] = None,
-        guards: Sequence[Tuple[ast.Literal, frozenset]] = (),
-        var_doms: Optional[Dict[str, object]] = None,
     ) -> Iterator[Dict[str, Symbol]]:
         """Backtracking join over literal plans with argument indexing.
 
@@ -1243,21 +1138,7 @@ class Grounder:
         per candidate.  Yielded substitutions are only valid until the
         generator is advanced — :meth:`_emit_instance` consumes them
         synchronously.
-
-        ``guards`` holds comparison literals from the rule's ``others``
-        that are evaluated *eagerly* as soon as their variables are bound
-        (domain pruning): a failing guard rejects the partial
-        substitution before the remaining literals multiply it out.  The
-        comparisons stay in ``others`` too, so emission re-checks them —
-        pruning can only skip work, never change the output.
-        ``var_doms`` maps variables to their abstract domains; a freshly
-        bound value outside its domain can never complete a full match
-        and is rejected immediately.
         """
-        if guards:
-            passed, guards = self._eval_ready_guards(guards, subst)
-            if not passed:
-                return
         if not plans:
             yield subst
             return
@@ -1271,17 +1152,12 @@ class Grounder:
                 lhs = evaluate_term(atom.lhs, subst)
                 rhs_values = evaluate_term_all(atom.rhs, subst)
                 if lhs is not None and lhs in rhs_values:
-                    yield from self._join_indexed(
-                        remaining, subst, restrict, guards, var_doms
-                    )
+                    yield from self._join_indexed(remaining, subst, restrict)
                 return
             trail: List[str] = []
             for value in evaluate_term_all(source, subst):
                 if _match_trail(variable, value, subst, trail):
-                    if self._trail_in_domains(trail, subst, var_doms):
-                        yield from self._join_indexed(
-                            remaining, subst, restrict, guards, var_doms
-                        )
+                    yield from self._join_indexed(remaining, subst, restrict)
                 for name in trail:
                     del subst[name]
                 trail.clear()
@@ -1294,65 +1170,10 @@ class Grounder:
         # up by the next delta round, not by the running iteration.
         for position in range(len(candidates)):
             if _match_trail(atom, candidates[position], subst, trail):
-                if self._trail_in_domains(trail, subst, var_doms):
-                    yield from self._join_indexed(
-                        remaining, subst, restrict, guards, var_doms
-                    )
+                yield from self._join_indexed(remaining, subst, restrict)
             for name in trail:
                 del subst[name]
             trail.clear()
-
-    def _eval_ready_guards(
-        self,
-        guards: Sequence[Tuple[ast.Literal, frozenset]],
-        subst: Dict[str, Symbol],
-    ) -> Tuple[bool, Sequence[Tuple[ast.Literal, frozenset]]]:
-        """Evaluate every guard whose variables are all bound.
-
-        Returns ``(False, ())`` when one fails (the partial substitution
-        is rejected) or ``(True, remaining)`` with the still-pending
-        guards.  Guards that are bound but not evaluable (interval
-        comparisons) are left for :meth:`_emit_instance`, which treats
-        them exactly as the unpruned path would.
-        """
-        consumed = False
-        remaining: List[Tuple[ast.Literal, frozenset]] = []
-        for entry in guards:
-            literal, variables = entry
-            if variables <= subst.keys():
-                consumed = True
-                atom = literal.atom
-                lhs = evaluate_term(atom.lhs, subst)
-                rhs = evaluate_term(atom.rhs, subst)
-                if lhs is None or rhs is None:
-                    continue  # not evaluable here: emission will decide
-                holds = evaluate_comparison(atom.op, lhs, rhs)
-                if literal.sign == 1:
-                    holds = not holds
-                if not holds:
-                    self.statistics.pruned_instances += 1
-                    return False, ()
-            else:
-                remaining.append(entry)
-        if not consumed:
-            return True, guards
-        return True, remaining
-
-    def _trail_in_domains(
-        self,
-        trail: List[str],
-        subst: Dict[str, Symbol],
-        var_doms: Optional[Dict[str, object]],
-    ) -> bool:
-        """Check freshly trailed bindings against their abstract domains."""
-        if not var_doms:
-            return True
-        for name in trail:
-            dom = var_doms.get(name)
-            if dom is not None and not dom.contains(subst[name]):
-                self.statistics.pruned_instances += 1
-                return False
-        return True
 
     def _probe(
         self, plan: _LiteralPlan, subst: Dict[str, Symbol]
@@ -1728,11 +1549,9 @@ class Grounder:
 
 
 def ground_program(
-    program: ast.Program,
-    mode: str = "seminaive",
-    domain_prune: Optional[bool] = None,
+    program: ast.Program, mode: str = "seminaive"
 ) -> Tuple[List[GroundRule], Set[Function], Set[Function]]:
     """Ground ``program``; returns (rules, possible atoms, fact atoms)."""
-    grounder = Grounder(program, mode=mode, domain_prune=domain_prune)
+    grounder = Grounder(program, mode=mode)
     rules = grounder.ground()
     return rules, grounder.possible_atoms, grounder.fact_atoms

@@ -14,6 +14,7 @@ import sys
 from typing import List, Optional
 
 from repro.bench.render import render_table
+from repro.dse.explorer import pin_symmetry
 from repro.dse.parallel import ParallelParetoExplorer
 from repro.dse.scheduler import DEFAULT_RESPLIT_CONFLICTS
 from repro.synthesis.encoding import encode
@@ -92,20 +93,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     options.add_argument(
         "--symmetry",
-        choices=("on", "off", "auto"),
-        default="off",
-        help="lex-leader platform symmetry breaking: on = require it, "
-        "auto = apply when the platform has non-trivial automorphisms, "
-        "off = default (the front of vectors is identical either way; "
-        "see docs/SYMMETRY.md)",
-    )
-    options.add_argument(
-        "--domain-bounds",
-        choices=("on", "off", "auto"),
-        default="off",
-        help="seed theory objective bounds from the abstract domain "
-        "analysis: on = require it, auto = decline gracefully, off = "
-        "default (the front is identical either way; see docs/DOMAINS.md)",
+        choices=("auto", "off"),
+        default="auto",
+        help="lex-leader platform symmetry breaking: auto = apply when the "
+        "platform has non-trivial automorphisms (default; declined under "
+        "--pin), off = never (the front of vectors is identical either "
+        "way; see docs/SYMMETRY.md)",
     )
 
     par = parser.add_argument_group("parallel exploration")
@@ -184,14 +177,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not task or not resource:
             parser.error(f"malformed --pin {entry!r}")
         pins[task] = resource
-    symmetry = args.symmetry
-    if pins and symmetry != "off":
-        # A pin can exclude an orbit's lex-minimal representative, which
-        # would silently lose front points.
-        if symmetry == "on":
-            parser.error("--symmetry on cannot be combined with --pin")
+    symmetry = pin_symmetry(args.symmetry, pins)
+    if symmetry != args.symmetry:
         print("symmetry: declined (pinned bindings)")
-        symmetry = "off"
     objectives = tuple(name.strip() for name in args.objectives.split(","))
     instance = encode(
         spec,
@@ -199,7 +187,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         serialize=args.serialize,
         latency_bound=args.latency_bound,
         symmetry=symmetry,
-        domain_bounds=args.domain_bounds,
     )
     lint_report = None
     if args.lint:
@@ -274,26 +261,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         else:
             print(f"symmetry: declined ({info.declined})")
-    if instance.domain is not None or stats.domain_mode:
-        info = instance.domain
-        if info is not None and info.applied:
-            bounds = ", ".join(
-                f"{name} in [{lo}, {hi}]"
-                for name, (lo, hi) in sorted(info.bounds.items())
-            )
-            print(
-                f"domains: {info.predicates} predicate(s), "
-                f"{info.widenings} widening(s), seeded {bounds}, "
-                f"{stats.domain_seconds:.3f}s"
-            )
-        elif info is not None:
-            print(f"domains: declined ({info.declined})")
-        if stats.domain_pruned or stats.domain_rules_skipped:
-            print(
-                f"domains: grounder pruned {stats.domain_pruned} "
-                f"candidate(s), skipped {stats.domain_rules_skipped} "
-                f"dead rule(s)"
-            )
     if lint_report is not None:
         print(
             f"lint: {stats.lint_errors} error(s), {stats.lint_warnings} "

@@ -330,7 +330,7 @@ class DseStatistics:
     lint_warnings: int = 0
     lint_infos: int = 0
     #: Symmetry analysis summary of the instance ("" when encode() ran
-    #: with symmetry="off"; otherwise the requested mode).
+    #: with symmetry="off"; otherwise "auto").
     symmetry_mode: str = ""
     #: Whether lex-leader constraints were injected into the encoding.
     symmetry_applied: bool = False
@@ -343,22 +343,6 @@ class DseStatistics:
     symmetry_constraints: int = 0
     #: Wall seconds of automorphism detection + constraint synthesis.
     symmetry_seconds: float = 0.0
-    #: Domain-analysis summary ("" when encode() ran with
-    #: domain_bounds="off" and grounding ran with domain_prune off).
-    domain_mode: str = ""
-    #: Whether inferred objective intervals seeded the interval store.
-    domain_applied: bool = False
-    #: Predicates whose argument domains the analysis inferred.
-    domain_predicates: int = 0
-    #: Widening steps taken on recursive components.
-    domain_widenings: int = 0
-    #: Candidate substitutions rejected by domain pre-filters while
-    #: grounding (eager guards + per-variable domain checks).
-    domain_pruned: int = 0
-    #: Rules the grounder skipped entirely as provably dead.
-    domain_rules_skipped: int = 0
-    #: Wall seconds of domain analysis (encode-time + ground-time).
-    domain_seconds: float = 0.0
     #: One breakdown per worker (a sequential run has one worker): the
     #: keys of ``WORKER_SUMS`` plus ``worker``, ``injected``,
     #: ``interrupted``, ``steals``, ``pareto_points_local``, ``grounds``,
@@ -392,11 +376,10 @@ WORKER_SUMS = {
     "dedup_skips": "archive_dedup_skips",
 }
 
-#: Instance summaries copied into ``symmetry_*``/``domain_*`` statistics.
+#: Instance summary copied into the ``symmetry_*`` statistics.
 _SYMMETRY_FIELDS = (
     "mode", "applied", "generators", "order", "orbits", "constraints", "seconds"
 )
-_DOMAIN_FIELDS = ("mode", "applied", "predicates", "widenings", "seconds")
 
 #: Points a worker buffers before publishing them as one archive delta;
 #: a smaller batch goes out after the worker's next solver call that
@@ -445,12 +428,24 @@ class DseResult:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
+def pin_symmetry(symmetry: str, fixed_bindings) -> str:
+    """The ``encode(symmetry=...)`` mode for exploring under ``fixed_bindings``.
+
+    A pin can exclude an orbit's lex-minimal representative and lose
+    front points, so pinned bindings mean encoding with
+    ``symmetry="off"``.  :func:`explore` and ``python -m repro.dse``
+    both decide it here.
+    """
+    return "off" if fixed_bindings else symmetry
+
+
 def check_pins(instance: EncodedInstance, fixed_bindings) -> None:
     """Reject pinned bindings on an instance with lex-leader constraints.
 
-    Guiding-path cubes are fine (they partition the full space, so every
-    orbit's lex-minimal representative stays reachable) but a user pin
-    can exclude it and lose front points.
+    Guards instances encoded before the pins were known (see
+    :func:`pin_symmetry`).  Guiding-path cubes are fine (they partition
+    the full space, so every orbit's lex-minimal representative stays
+    reachable) but a user pin can exclude it and lose front points.
     """
     symmetry = getattr(instance, "symmetry", None)
     if (
@@ -533,19 +528,6 @@ class ExactParetoExplorer:
         self.instance = instance
         self.epsilon = epsilon
         self.linear = LinearPropagator()
-        # Seed the interval store with the encode-time inferred objective
-        # bounds (sound over-approximations; &dom constraints only ever
-        # tighten them further, so the front is unchanged).
-        domain = getattr(instance, "domain", None)
-        if domain is not None and domain.applied:
-            for objective in instance.objectives:
-                if objective.kind != "var" or objective.variable is None:
-                    continue
-                interval = domain.bounds.get(str(objective.variable))
-                if interval is not None:
-                    self.linear.store.add_var(
-                        objective.variable, interval[0], interval[1]
-                    )
         archive_impl = QuadTreeArchive() if archive == "quadtree" else ListArchive()
         if epsilon:
             from repro.dse.approximation import EpsilonArchive
@@ -1010,8 +992,8 @@ def merge_run(
 
     ``reports`` holds one ``(local front, per_worker entry)`` pair per
     worker, in worker order.  The front is the non-dominated union of
-    the local fronts.  Instance-level statistics (symmetry, domain
-    analysis, grounding, lint) are filled once, from the instance and
+    the local fronts.  Instance-level statistics (symmetry, grounding,
+    lint) are filled once, from the instance and
     from ``grounder``, the :class:`Control` that ground the program;
     worker statistics are the sums of the ``per_worker`` entries.
     """
@@ -1026,7 +1008,6 @@ def merge_run(
     )
     summaries = (
         ("symmetry", getattr(instance, "symmetry", None), _SYMMETRY_FIELDS),
-        ("domain", getattr(instance, "domain", None), _DOMAIN_FIELDS),
         ("lint", grounder.lint_report, ("errors", "warnings", "infos")),
     )
     for prefix, summary, names in summaries:
@@ -1041,17 +1022,6 @@ def merge_run(
     if grounding is not None:
         stats.instantiations = grounding.instantiations
         stats.delta_rounds = grounding.delta_rounds
-        if grounding.domain_prune:
-            stats.domain_mode = stats.domain_mode or "prune"
-            stats.domain_predicates = max(
-                stats.domain_predicates, grounding.domain_predicates
-            )
-            stats.domain_widenings = max(
-                stats.domain_widenings, grounding.domain_widenings
-            )
-            stats.domain_pruned = grounding.pruned_instances
-            stats.domain_rules_skipped = grounding.rules_skipped
-            stats.domain_seconds += grounding.domain_seconds
     for _front, entry in reports:
         entry["steals"] = scheduler.steals[entry["worker"]]
         for key, name in WORKER_SUMS.items():
@@ -1069,8 +1039,7 @@ def explore(
     objectives: Sequence[str] = ("latency", "energy", "cost"),
     jobs: int = 1,
     split_depth: Optional[int] = None,
-    symmetry: str = "off",
-    domain_bounds: str = "off",
+    symmetry: str = "auto",
     **kwargs,
 ) -> DseResult:
     """Convenience one-call API: encode and explore ``spec``.
@@ -1082,16 +1051,16 @@ def explore(
     :class:`ExactParetoExplorer`).
 
     ``symmetry`` is forwarded to :func:`~repro.synthesis.encoding.encode`
-    (``"on"``/``"auto"`` add lex-leader platform symmetry breaking; the
-    front of objective vectors is unchanged — see docs/SYMMETRY.md).
-    ``domain_bounds`` likewise forwards to ``encode`` and seeds the
-    theory interval store with statically inferred objective bounds
-    (the front is unchanged — see docs/DOMAINS.md).
+    (``"auto"`` adds lex-leader platform symmetry breaking; the front of
+    objective vectors is unchanged — see docs/SYMMETRY.md), except that
+    pinned ``fixed_bindings`` encode with ``"off"`` (:func:`pin_symmetry`).
     """
     from repro.dse.parallel import ParallelParetoExplorer
 
     instance = encode(
-        spec, objectives=objectives, symmetry=symmetry, domain_bounds=domain_bounds
+        spec,
+        objectives=objectives,
+        symmetry=pin_symmetry(symmetry, kwargs.get("fixed_bindings")),
     )
     return ParallelParetoExplorer(
         instance, jobs=jobs, split_depth=split_depth, **kwargs

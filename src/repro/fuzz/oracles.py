@@ -22,7 +22,7 @@ oracle                input    compared paths
 ``rename``            spec     task/resource renaming leaves the front invariant
 ``solver-core``       any      flat vs reference CDNL core (models and fronts)
 ``symmetry-front``    spec     lex-leader symmetry breaking leaves the front invariant
-``domain-soundness``  program  derived atoms lie in inferred domains; pruning is inert
+``domain-soundness``  program  derived atoms lie in the inferred domains
 ``serve-cache``       spec     canonical digests identify renamed twins; remapped
                                witnesses stay valid; perturbations change the digest
 ====================  =======  ==================================================
@@ -295,12 +295,14 @@ def _front_vectors(
     spec_input: SpecInput,
     specification: Optional[Specification] = None,
     solver_core: Optional[str] = None,
+    symmetry: str = "auto",
 ) -> List[Tuple[int, ...]]:
     """The exact front of the instance, via the reference explorer."""
     instance = encode(
         specification or spec_input.specification,
         objectives=spec_input.objectives,
         latency_bound=spec_input.latency_bound,
+        symmetry=symmetry,
     )
     result = ExactParetoExplorer(
         instance, validate_models=False, solver_core=solver_core
@@ -321,7 +323,15 @@ class FrontOracle(Oracle):
             latency_bound=input.latency_bound,
         )
         exact = ExactParetoExplorer(instance, validate_models=True).run()
-        truth = exhaustive_front(instance)
+        # The truth side enumerates the unbroken design space.
+        truth = exhaustive_front(
+            encode(
+                input.specification,
+                objectives=input.objectives,
+                latency_bound=input.latency_bound,
+                symmetry="off",
+            )
+        )
         if exact.vectors() != truth.vectors():
             self.diverge(
                 f"explorer front {exact.vectors()} != exhaustive front "
@@ -516,26 +526,26 @@ class SymmetryFrontOracle(Oracle):
     objective vectors* is identical with breaking on or off — for every
     platform, symmetric or not, because a trivial or partial
     automorphism group simply yields fewer (or no) constraints.  The
-    oracle re-encodes with ``symmetry="on"`` and compares against the
-    unbroken front, sequentially and through the parallel explorer.
+    oracle explores the default (``symmetry="auto"``) encoding and
+    compares against an explicit ``symmetry="off"`` front, sequentially
+    and through the parallel explorer.
     """
 
     name = "symmetry-front"
     kind = "spec"
 
     def check(self, input: SpecInput) -> None:
-        base = _front_vectors(input)
+        base = _front_vectors(input, symmetry="off")
         instance = encode(
             input.specification,
             objectives=input.objectives,
             latency_bound=input.latency_bound,
-            symmetry="on",
         )
         broken = ExactParetoExplorer(instance, validate_models=True).run()
         if broken.vectors() != base:
             self.diverge(
                 f"front changed under symmetry breaking: off {base} != "
-                f"on {broken.vectors()} (group order "
+                f"auto {broken.vectors()} (group order "
                 f"{instance.symmetry.order}, "
                 f"{instance.symmetry.constraints} constraints)"
             )
@@ -545,18 +555,15 @@ class SymmetryFrontOracle(Oracle):
         if parallel.vectors() != base:
             self.diverge(
                 f"parallel front changed under symmetry breaking: off "
-                f"{base} != on {parallel.vectors()}"
+                f"{base} != auto {parallel.vectors()}"
             )
 
 
 class DomainSoundnessOracle(Oracle):
     """The abstract domain analysis over-approximates the grounder.
 
-    Two checks (the contract in ``docs/DOMAINS.md``): every atom the
-    unpruned grounder derives as possible must be contained in the
-    inferred per-position domains, and grounding with domain pruning on
-    must emit an identical :class:`GroundProgram` (rules, possible and
-    fact universes) — pruning may only skip work, never change output.
+    The contract in ``docs/DOMAINS.md``: every atom the grounder derives
+    as possible must be contained in the inferred per-position domains.
     """
 
     name = "domain-soundness"
@@ -572,26 +579,16 @@ class DomainSoundnessOracle(Oracle):
         except ParseError:
             raise Skip("program does not parse")
         try:
-            plain = Grounder(parsed, domain_prune=False)
-            plain_rules = plain.ground()
+            grounder = Grounder(parsed)
+            grounder.ground()
         except Exception:
             raise Skip("program does not ground")
-        analysis = analyze_program(parsed)
-        escaped = analysis.violations(plain.possible_atoms)
+        escaped = analyze_program(parsed).violations(grounder.possible_atoms)
         if escaped:
             self.diverge(
                 f"derived atoms escape the inferred domains: "
                 f"{sorted(str(atom) for atom in escaped)[:5]}"
             )
-        pruned = Grounder(parse_program(input.text), domain_prune=True)
-        pruned_rules = pruned.ground()
-        if {str(r) for r in plain_rules} != {str(r) for r in pruned_rules}:
-            self.diverge("domain pruning changed the ground rule set")
-        if (
-            plain.possible_atoms != pruned.possible_atoms
-            or plain.fact_atoms != pruned.fact_atoms
-        ):
-            self.diverge("domain pruning changed the atom universe")
 
 
 #: Registry, in documentation order.

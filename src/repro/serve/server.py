@@ -57,14 +57,7 @@ DEFAULT_OBJECTIVES: Tuple[str, ...] = ("latency", "energy", "cost")
 #: Request options forwarded to :func:`repro.synthesis.encoding.encode`.
 #: Anything else in the ``options`` object is rejected, so typos cannot
 #: silently solve a different problem than the client asked for.
-ENCODE_OPTIONS = (
-    "serialize",
-    "routing",
-    "link_contention",
-    "latency_bound",
-    "symmetry",
-    "domain_bounds",
-)
+ENCODE_OPTIONS = ("serialize", "routing", "link_contention", "latency_bound")
 
 
 @dataclass

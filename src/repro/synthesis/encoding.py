@@ -50,7 +50,7 @@ resolved into solver literals by the DSE explorer:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.asp.syntax import Function, Number, Symbol
 from repro.synthesis.model import Specification, SpecificationError
@@ -95,9 +95,6 @@ class EncodedInstance:
     #: What ``encode(symmetry=...)`` did (a
     #: :class:`repro.analysis.symmetry.SymmetryInfo`); None when off.
     symmetry: Optional[object] = None
-    #: What ``encode(domain_bounds=...)`` did (a
-    #: :class:`repro.analysis.domains.DomainInfo`); None when off.
-    domain: Optional[object] = None
 
     def objective(self, name: str) -> ObjectiveSpec:
         for spec in self.objectives:
@@ -307,8 +304,7 @@ def encode(
     routing: str = "free",
     link_contention: bool = False,
     lint: bool = False,
-    symmetry: str = "off",
-    domain_bounds: str = "off",
+    symmetry: str = "auto",
 ) -> EncodedInstance:
     """Encode ``spec`` as an ASPmT program plus objective declarations.
 
@@ -326,41 +322,20 @@ def encode(
     first and raises :class:`SpecificationError` on error-severity
     findings — catching unroutable communications or unsatisfiable
     deadlines before they surface as an inexplicably empty Pareto front.
-    ``symmetry`` injects lex-leader symmetry-breaking constraints over
-    the ``bind/2`` atoms for the platform's automorphism group
-    (:mod:`repro.analysis.symmetry`): ``"on"`` requires free routing
-    and raises otherwise, ``"auto"`` silently declines when the group
-    is trivial or routing is fixed, ``"off"`` (the default) analyzes
-    nothing.  The Pareto front *of objective vectors* is identical with
-    breaking on or off (symmetric mappings share their vector); only
-    the witness implementations and the search effort change.
-    ``domain_bounds`` runs the abstract domain analysis
-    (:mod:`repro.analysis.domains`) over the finished program and
-    attaches sound initial intervals for the ``var`` objectives
-    (``latency``/``period``) as :attr:`EncodedInstance.domain` — the
-    explorer seeds its interval store with them.  ``"on"`` requires the
-    analysis to succeed, ``"auto"`` declines gracefully, ``"off"``
-    (the default) analyzes nothing.  The bounds are sound
-    over-approximations, so the Pareto front is identical with the
-    seeding on or off; only propagation effort changes.
+    ``symmetry="auto"`` (the default) injects lex-leader
+    symmetry-breaking constraints over the ``bind/2`` atoms for the
+    platform's automorphism group (:mod:`repro.analysis.symmetry`); it
+    declines when the group is trivial or routing is fixed, and records
+    what it did on :attr:`EncodedInstance.symmetry`.  ``"off"`` analyzes
+    nothing.  The Pareto front *of objective vectors* is identical
+    either way (symmetric mappings share their vector); only the
+    witness implementations and the search effort change.  Encode with
+    ``"off"`` to pin bindings (see :func:`repro.dse.explorer.pin_symmetry`).
     """
     if routing not in ("free", "fixed"):
         raise ValueError(f"unknown routing mode {routing!r}")
-    if symmetry not in ("off", "on", "auto"):
-        raise ValueError(
-            f"unknown symmetry mode {symmetry!r}; have off, on, auto"
-        )
-    if domain_bounds not in ("off", "on", "auto"):
-        raise ValueError(
-            f"unknown domain_bounds mode {domain_bounds!r}; have off, on, auto"
-        )
-    if symmetry == "on" and routing == "fixed":
-        raise ValueError(
-            "symmetry='on' requires routing='free': fixed-route tables "
-            "pick canonical paths whose energy/cost need not be invariant "
-            "under platform automorphisms (use symmetry='auto' to decline "
-            "gracefully)"
-        )
+    if symmetry not in ("auto", "off"):
+        raise ValueError(f"unknown symmetry mode {symmetry!r}; have auto, off")
     if lint:
         from repro.analysis import Severity, validate_specification
 
@@ -399,28 +374,20 @@ def encode(
     if latency_bound is not None:
         parts.append(f"&sum {{ latency }} <= {latency_bound}.")
     symmetry_info = None
-    if symmetry != "off":
-        symmetry_info = _apply_symmetry(spec, symmetry, routing, parts)
-    program = "\n".join(parts)
-    objective_specs = _objective_specs(spec, objectives)
-    domain_info = None
-    if domain_bounds != "off":
-        domain_info = _apply_domain_bounds(
-            spec, domain_bounds, program, objective_specs
-        )
+    if symmetry == "auto":
+        symmetry_info = _apply_symmetry(spec, routing, parts)
     return EncodedInstance(
         specification=spec,
-        program=program,
-        objectives=objective_specs,
+        program="\n".join(parts),
+        objectives=_objective_specs(spec, objectives),
         horizon=h,
         serialize=serialize,
         link_contention=link_contention,
         symmetry=symmetry_info,
-        domain=domain_info,
     )
 
 
-def _apply_symmetry(spec: Specification, mode: str, routing: str, parts: List[str]):
+def _apply_symmetry(spec: Specification, routing: str, parts: List[str]):
     """Analyze the platform and append lex-leader rules to ``parts``."""
     from time import perf_counter
 
@@ -448,7 +415,7 @@ def _apply_symmetry(spec: Specification, mode: str, routing: str, parts: List[st
         else:
             declined = "no generator constrains any binding"
     return SymmetryInfo(
-        mode=mode,
+        mode="auto",
         applied=applied,
         generators=len(platform.generators),
         order=platform.order,
@@ -458,54 +425,3 @@ def _apply_symmetry(spec: Specification, mode: str, routing: str, parts: List[st
         declined=declined,
     )
 
-
-def _apply_domain_bounds(
-    spec: Specification,
-    mode: str,
-    program: str,
-    objectives: Sequence[ObjectiveSpec],
-):
-    """Run the domain analysis over the finished program and collect
-    sound initial intervals for the ``var`` objectives."""
-    import dataclasses
-
-    from repro.analysis.domains import DomainInfo, analyze_program
-    from repro.asp.parser import parse_program
-
-    try:
-        analysis = analyze_program(parse_program(program))
-    except Exception as error:
-        if mode == "on":
-            raise ValueError(
-                f"domain_bounds='on': domain analysis failed: {error}"
-            ) from error
-        return DomainInfo(mode=mode, applied=False, declined=str(error))
-    info = analysis.info(mode=mode, applied=False)
-    # Scheduling floor: every task runs somewhere, so both latency and
-    # the busiest-resource period are at least the largest per-task
-    # minimum wcet over that task's mapping options.
-    best_wcet: Dict[str, int] = {}
-    for option in spec.mappings:
-        current = best_wcet.get(option.task)
-        if current is None or option.wcet < current:
-            best_wcet[option.task] = option.wcet
-    floor = max(best_wcet.values(), default=0)
-    bounds: Dict[str, Tuple[int, int]] = {}
-    for objective in objectives:
-        if objective.kind != "var" or objective.variable is None:
-            continue
-        name = str(objective.variable)
-        interval = info.bounds.get(name)
-        if interval is None:
-            continue
-        lo, hi = interval
-        lo = max(lo, floor)
-        if objective.max_value:
-            hi = min(hi, objective.max_value)
-        if lo > hi:
-            continue  # statically infeasible — leave it to the solver
-        bounds[name] = (lo, hi)
-    declined = None if bounds else "no var-objective intervals inferred"
-    return dataclasses.replace(
-        info, applied=bool(bounds), bounds=bounds, declined=declined
-    )

@@ -206,12 +206,12 @@ def _mesh_symmetric() -> Specification:
     the same per-task WCET/energy, and the mesh links are uniform, so
     the platform's automorphism group is the full D4 of the grid (order
     8) with orbits {corners, edge midpoints, center}.  Without symmetry
-    breaking the solver re-proves every placement once per grid
-    symmetry; the deadlines (``sense`` by 3, ``emit`` end-to-end by 10)
-    make distributed placements route-sensitive, so the unbroken search
-    does real work that lex-leader constraints then cut by roughly 4x in
-    conflicts and 5x in feasible models; see
-    ``benchmarks/bench_symmetry.py`` and ``docs/SYMMETRY.md``.
+    breaking (``symmetry="off"``) the solver re-proves every placement
+    once per grid symmetry; the deadlines (``sense`` by 3, ``emit``
+    end-to-end by 10) make distributed placements route-sensitive, so
+    the unbroken search does real work that the default lex-leader
+    constraints then cut by roughly 4x in conflicts and 5x in feasible
+    models; see ``tests/test_symmetry.py`` and ``docs/SYMMETRY.md``.
     """
     application = Application(
         tasks=(

@@ -42,7 +42,7 @@ class TestApproximateDse:
         for epsilon in (1, 3):
             for instance in suite("tiny"):
                 spec = instance.specification
-                truth = exhaustive_front(encode(spec)).vectors()
+                truth = exhaustive_front(encode(spec, symmetry="off")).vectors()
                 result = explore(spec, epsilon=epsilon)
                 approx = result.vectors()
                 assert approx, instance.name

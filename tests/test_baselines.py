@@ -17,7 +17,11 @@ from repro.workloads.curated import CURATED_NAMES, curated
 @pytest.fixture(scope="module")
 def tiny_instances():
     return [
-        (instance.name, instance.specification, encode(instance.specification))
+        (
+            instance.name,
+            instance.specification,
+            encode(instance.specification, symmetry="off"),
+        )
         for instance in suite("tiny")
     ]
 
@@ -63,7 +67,7 @@ class TestEpsilonConstraint:
 
     def test_two_objectives(self, tiny_instances):
         _name, spec, _inst = tiny_instances[0]
-        instance = encode(spec, objectives=("latency", "energy"))
+        instance = encode(spec, objectives=("latency", "energy"), symmetry="off")
         truth = exhaustive_front(instance).vectors()
         result = epsilon_constraint_front(instance)
         assert result.vectors() == truth
@@ -98,7 +102,9 @@ class TestCuratedEquivalence:
 
     @pytest.mark.parametrize("name", CURATED_NAMES)
     def test_exhaustive_matches_solution_level(self, name):
-        instance = encode(curated(name), **self.ENCODE_OPTIONS.get(name, {}))
+        instance = encode(
+            curated(name), symmetry="off", **self.ENCODE_OPTIONS.get(name, {})
+        )
         truth = exhaustive_front(instance)
         result = solution_level_front(instance)
         assert truth.exact and result.exact, name

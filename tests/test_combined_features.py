@@ -71,7 +71,7 @@ OPTION_SETS = [
 )
 def test_combined_options_match_exhaustive(rich_spec, options):
     instance = encode(rich_spec, **options)
-    truth = exhaustive_front(instance)
+    truth = exhaustive_front(encode(rich_spec, symmetry="off", **options))
     result = ExactParetoExplorer(instance).run()
     assert result.vectors() == truth.vectors()
     assert not result.statistics.interrupted
@@ -100,5 +100,12 @@ def test_period_with_contention(rich_spec):
         link_contention=True,
     )
     result = ExactParetoExplorer(instance).run()
-    truth = exhaustive_front(instance)
+    truth = exhaustive_front(
+        encode(
+            rich_spec,
+            objectives=("period", "cost"),
+            link_contention=True,
+            symmetry="off",
+        )
+    )
     assert result.vectors() == truth.vectors()

@@ -3,15 +3,9 @@
 Covers the :class:`Dom` lattice algebra, the fixpoint analyzer
 (soundness against real grounding, widening termination on recursive
 components, dead-rule verdicts), the domain-aware join estimates, rule
-canonicalization, the grounder's ``domain_prune`` differential
-contract, the ``encode(domain_bounds=...)`` seeding path (fronts must
-be bit-identical on vs. off, sequentially and with two workers), and a curated-suite sweep asserting the new lint rules
-produce zero false positives.
+canonicalization, and a curated-suite sweep asserting the new lint
+rules produce zero false positives.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +20,9 @@ from repro.analysis.domains import (
     analyze_rules,
     canonical_rule,
 )
-from repro.asp.control import ground_text
-from repro.asp.grounder import Grounder, domain_prune_default
+from repro.asp.grounder import Grounder
 from repro.asp.parser import parse_program
 from repro.asp.syntax import Function, Number, String
-from repro.dse.explorer import ExactParetoExplorer
-from repro.dse.parallel import ParallelParetoExplorer
 from repro.fuzz.generators import generate_program
 from repro.synthesis.encoding import encode
 from repro.workloads.curated import CURATED_NAMES, curated
@@ -42,7 +33,7 @@ def analyze_text(text: str):
 
 
 def ground_atoms(text: str):
-    grounder = Grounder(parse_program(text), domain_prune=False)
+    grounder = Grounder(parse_program(text))
     grounder.ground()
     return grounder.possible_atoms
 
@@ -174,12 +165,12 @@ class TestAnalyzer:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 5000))
     def test_soundness_on_random_programs(self, seed):
-        """Property: every atom the (unpruned) grounder derives lies in
-        the inferred abstract domains."""
+        """Property: every atom the grounder derives lies in the
+        inferred abstract domains."""
         input = generate_program(seed)
         try:
             parsed = parse_program(input.text)
-            grounder = Grounder(parsed, domain_prune=False)
+            grounder = Grounder(parsed)
             grounder.ground()
         except Exception:
             return  # not this property's concern
@@ -236,140 +227,6 @@ class TestCanonicalRule:
     def test_variable_roles_distinguished(self):
         a, b = self.rules("r(X, Y) :- p(X, Y). r(Y, X) :- p(X, Y).")
         assert str(canonical_rule(a)) != str(canonical_rule(b))
-
-
-# ---------------------------------------------------------------------------
-# Grounder pruning: differential contract
-# ---------------------------------------------------------------------------
-
-PRUNE_PROGRAMS = [
-    "a(1..6). b(X) :- a(X), X < 4.",
-    "p(1..4). tc(X, Y) :- p(X), p(Y), X < Y. tc(X, Z) :- tc(X, Y), tc(Y, Z).",
-    "q(1..3). dead(X) :- q(X), X > 9. alive(X) :- q(X).",
-    'w("a"). n(1..3). mix(X, Y) :- w(X), n(Y), Y > 1.',
-    "item(a;b;c). { pick(X) : item(X) }. pair(X, Y) :- pick(X), pick(Y), X < Y.",
-    ":- a(9). a(1..3).",
-]
-
-
-class TestGrounderPruning:
-    @pytest.mark.parametrize("text", PRUNE_PROGRAMS)
-    def test_pruned_output_identical(self, text):
-        off = ground_text(text, cache=False, domain_prune=False)
-        on = ground_text(text, cache=False, domain_prune=True)
-        assert [str(r) for r in off.rules] == [str(r) for r in on.rules]
-        assert off.possible == on.possible
-        assert off.facts == on.facts
-
-    def test_pruning_reduces_instantiations(self):
-        text = (
-            "t(1..6). "
-            "{ s(X) : t(X) }. "
-            "o(X, Y) :- s(X), s(Y), X < Y."
-        )
-        off = ground_text(text, cache=False, domain_prune=False)
-        on = ground_text(text, cache=False, domain_prune=True)
-        assert on.grounding.instantiations < off.grounding.instantiations
-        assert on.grounding.pruned_instances > 0
-
-    def test_dead_rules_skipped(self):
-        text = "q(1..3). dead(X) :- q(X), X > 9."
-        on = ground_text(text, cache=False, domain_prune=True)
-        assert on.grounding.rules_skipped == 1
-
-    def test_naive_mode_never_prunes(self):
-        text = "a(1..3). b(X) :- a(X), X < 3."
-        naive = ground_text(text, cache=False, mode="naive", domain_prune=True)
-        assert not naive.grounding.domain_prune
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DOMAIN_PRUNE", raising=False)
-        assert domain_prune_default() is True
-        monkeypatch.setenv("REPRO_DOMAIN_PRUNE", "off")
-        assert domain_prune_default() is False
-        monkeypatch.setenv("REPRO_DOMAIN_PRUNE", "1")
-        assert domain_prune_default() is True
-
-    def test_env_off_disables_grounder_pruning(self):
-        code = (
-            "import sys; sys.path.insert(0, 'src')\n"
-            "from repro.asp.control import ground_text\n"
-            "gp = ground_text('a(1..3). b(X) :- a(X), X < 3.', cache=False)\n"
-            "assert not gp.grounding.domain_prune, 'env off must disarm pruning'\n"
-        )
-        env = dict(os.environ, REPRO_DOMAIN_PRUNE="off")
-        subprocess.run(
-            [sys.executable, "-c", code],
-            check=True,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            env=env,
-        )
-
-
-# ---------------------------------------------------------------------------
-# encode(domain_bounds=...) and front identity
-# ---------------------------------------------------------------------------
-
-
-class TestDomainBounds:
-    def test_bounds_are_attached(self):
-        spec = curated("consumer_jpeg")
-        instance = encode(spec, domain_bounds="on")
-        assert instance.domain is not None and instance.domain.applied
-        lo, hi = instance.domain.bounds["latency"]
-        assert 0 < lo <= hi <= spec.horizon()
-
-    def test_off_attaches_nothing(self):
-        instance = encode(curated("consumer_jpeg"))
-        assert instance.domain is None
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            encode(curated("consumer_jpeg"), domain_bounds="maybe")
-
-    def test_auto_declines_without_var_objectives(self):
-        instance = encode(
-            curated("consumer_jpeg"),
-            objectives=("energy", "cost"),
-            domain_bounds="auto",
-        )
-        assert instance.domain is not None and not instance.domain.applied
-        assert instance.domain.declined
-
-    @pytest.mark.parametrize("name", ["consumer_jpeg", "telecom_modem"])
-    def test_front_identical_sequential(self, name):
-        spec = curated(name)
-        objectives = ("latency", "cost")
-        base = ExactParetoExplorer(
-            encode(spec, objectives=objectives)
-        ).run()
-        seeded = ExactParetoExplorer(
-            encode(spec, objectives=objectives, domain_bounds="on")
-        ).run()
-        assert base.vectors() == seeded.vectors()
-
-    def test_front_identical_parallel(self):
-        spec = curated("consumer_jpeg")
-        objectives = ("latency", "cost")
-        base = ExactParetoExplorer(
-            encode(spec, objectives=objectives)
-        ).run()
-        seeded = ParallelParetoExplorer(
-            encode(spec, objectives=objectives, domain_bounds="on"),
-            jobs=2,
-            backend="inline",
-        ).run()
-        assert base.vectors() == seeded.vectors()
-
-    def test_statistics_surface(self):
-        spec = curated("consumer_jpeg")
-        result = ExactParetoExplorer(
-            encode(spec, objectives=("latency", "cost"), domain_bounds="on")
-        ).run()
-        stats = result.to_dict()["statistics"]
-        assert stats["domain_mode"] == "on"
-        assert stats["domain_applied"] is True
-        assert stats["domain_predicates"] > 0
 
 
 # ---------------------------------------------------------------------------

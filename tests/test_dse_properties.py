@@ -87,7 +87,7 @@ def tiny_specification(draw):
 @settings(max_examples=25, deadline=None)
 @given(tiny_specification())
 def test_exact_dse_equals_exhaustive(spec):
-    truth = exhaustive_front(encode(spec))
+    truth = exhaustive_front(encode(spec, symmetry="off"))
     result = explore(spec)
     assert result.vectors() == truth.vectors()
 
@@ -95,7 +95,7 @@ def test_exact_dse_equals_exhaustive(spec):
 @settings(max_examples=15, deadline=None)
 @given(tiny_specification(), st.integers(1, 3))
 def test_epsilon_guarantee(spec, epsilon):
-    truth = exhaustive_front(encode(spec)).vectors()
+    truth = exhaustive_front(encode(spec, symmetry="off")).vectors()
     approx = explore(spec, epsilon=epsilon).vectors()
     if not truth:
         assert not approx

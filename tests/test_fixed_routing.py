@@ -74,8 +74,8 @@ class TestFixedRouting:
     def test_fixed_front_is_dominated_or_equal(self):
         """Restricting routing can only lose Pareto points."""
         spec = generate_specification(WorkloadConfig(tasks=5, seed=1))
-        free = exhaustive_front(encode(spec, routing="free"))
-        fixed = exhaustive_front(encode(spec, routing="fixed"))
+        free = exhaustive_front(encode(spec, routing="free", symmetry="off"))
+        fixed = exhaustive_front(encode(spec, routing="fixed", symmetry="off"))
         for vector in fixed.vectors():
             assert any(
                 weakly_dominates(true_vector, vector)
@@ -84,8 +84,8 @@ class TestFixedRouting:
 
     def test_fixed_design_space_smaller(self):
         spec = generate_specification(WorkloadConfig(tasks=5, seed=1))
-        free = exhaustive_front(encode(spec, routing="free"))
-        fixed = exhaustive_front(encode(spec, routing="fixed"))
+        free = exhaustive_front(encode(spec, routing="free", symmetry="off"))
+        fixed = exhaustive_front(encode(spec, routing="fixed", symmetry="off"))
         assert fixed.models_enumerated <= free.models_enumerated
 
     def test_unroutable_binding_rejected(self):
@@ -127,7 +127,7 @@ class TestFixedRouting:
         spec = generate_specification(WorkloadConfig(tasks=5, seed=2))
         instance = encode(spec, routing="fixed")
         result = ExactParetoExplorer(instance).run()
-        truth = exhaustive_front(instance)
+        truth = exhaustive_front(encode(spec, routing="fixed", symmetry="off"))
         assert result.vectors() == truth.vectors()
 
     def test_unknown_mode_rejected(self):

@@ -140,7 +140,14 @@ class _MutatedFrontOracle(FrontOracle):
             latency_bound=input.latency_bound,
         )
         exact = ExactParetoExplorer(instance, validate_models=False).run()
-        truth = exhaustive_front(instance)
+        truth = exhaustive_front(
+            encode(
+                input.specification,
+                objectives=input.objectives,
+                latency_bound=input.latency_bound,
+                symmetry="off",
+            )
+        )
         mutated = exact.vectors()[1:]  # the "bug": first archive point lost
         if mutated != truth.vectors():
             self.diverge(

@@ -88,11 +88,18 @@ class TestLatencyBound:
         from repro.synthesis.encoding import encode
 
         spec = generate_specification(WorkloadConfig(tasks=4, seed=0))
-        unbounded = exhaustive_front(encode(spec, objectives=("latency",)))
+        unbounded = exhaustive_front(
+            encode(spec, objectives=("latency",), symmetry="off")
+        )
         best = min(v[0] for v in unbounded.vectors())
         worst_allowed = best  # deadline at the optimum: only optima remain
         bounded = exhaustive_front(
-            encode(spec, objectives=("latency",), latency_bound=worst_allowed)
+            encode(
+                spec,
+                objectives=("latency",),
+                latency_bound=worst_allowed,
+                symmetry="off",
+            )
         )
         assert bounded.vectors() == [(best,)]
         assert bounded.models_enumerated <= unbounded.models_enumerated

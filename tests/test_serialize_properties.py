@@ -61,7 +61,7 @@ def shared_resource_spec(draw):
 @given(shared_resource_spec())
 def test_serialized_dse_matches_exhaustive(spec):
     instance = encode(spec, serialize=True)
-    truth = exhaustive_front(instance)
+    truth = exhaustive_front(encode(spec, serialize=True, symmetry="off"))
     result = ExactParetoExplorer(instance).run()
     assert result.vectors() == truth.vectors()
 

@@ -375,22 +375,34 @@ def test_malformed_requests_get_error_events():
 
 
 def test_unknown_options_are_rejected():
+    # symmetry and domain_bounds are not in the cache key, so accepting
+    # them would let one setting's cached front answer the other's.
     async def scenario():
         server = await started_server()
         host, port = server.address
         client = await ServeClient.connect(host, port)
+        messages = []
         try:
-            with pytest.raises(ProtocolError) as excinfo:
-                await client.solve(
-                    specification_to_dict(tradeoff_spec()),
-                    options={"jobz": 4},
-                )
+            for name, value in (
+                ("jobz", 4),
+                ("symmetry", "off"),
+                ("domain_bounds", "auto"),
+            ):
+                with pytest.raises(ProtocolError) as excinfo:
+                    await client.solve(
+                        specification_to_dict(tradeoff_spec()),
+                        options={name: value},
+                    )
+                messages.append(str(excinfo.value))
         finally:
             await client.close()
         await server.shutdown()
-        return str(excinfo.value)
+        return messages
 
-    assert "unknown options" in run(scenario())
+    messages = run(scenario())
+    assert len(messages) == 3
+    for name, message in zip(("jobz", "symmetry", "domain_bounds"), messages):
+        assert "unknown options" in message and name in message
 
 
 def test_priority_queue_orders_by_estimated_work(monkeypatch):
