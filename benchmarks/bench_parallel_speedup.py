@@ -12,9 +12,8 @@ above 1 is not measurable here — parallelism overhead even makes it
 < 1.  What *is* measurable, deterministic, and machine-independent is
 the amount of solver work each configuration needs: the inline backend
 replays bit-identical trajectories, so model/conflict counts are exact.
-The assertions below therefore encode defensible floors in the same
-spirit as ``bench_solver.py`` (see docs/PARALLEL.md for the full
-analysis):
+The assertions below therefore encode defensible floors on that work
+(see docs/PARALLEL.md for the full analysis):
 
 * every configuration reproduces the sequential front exactly;
 * archive sharing never enumerates more models than isolation at equal

@@ -16,9 +16,12 @@ interface):
   graph, strongly connected components and tightness analysis.
 * :mod:`repro.asp.completion` -- Clark completion and translation of the
   ground program to clauses (including pseudo-Boolean aggregates).
-* :mod:`repro.asp.solver` -- conflict-driven nogood-learning (CDNL) SAT
-  core with two-watched-literal propagation, 1-UIP learning, VSIDS and
-  restarts.
+* :mod:`repro.asp.flatsolver` -- the conflict-driven nogood-learning
+  (CDNL) engine over flat arrays: two-watched-literal propagation, 1-UIP
+  learning, VSIDS, restarts and the propagator interface.
+* :mod:`repro.asp.solver` -- the same CDNL search over clause objects,
+  kept as the reference the solver tests and the ``solver-core`` fuzz
+  oracle compare the engine against.
 * :mod:`repro.asp.unfounded` -- unfounded-set propagation for non-tight
   programs.
 * :mod:`repro.asp.propagator` -- clingo-style ``Propagator`` protocol used

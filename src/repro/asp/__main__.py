@@ -55,13 +55,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--stats", action="store_true", help="print solver statistics"
     )
     parser.add_argument(
-        "--solver-core",
-        choices=("flat", "reference"),
-        default=None,
-        help="CDNL engine: flat array core (default) or the reference "
-        "object core (differential oracle; see docs/SOLVER.md)",
-    )
-    parser.add_argument(
         "--lint",
         action="store_true",
         help="run the static analyzer before grounding (warnings to stderr)",
@@ -81,7 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    control = Control(solver_core=args.solver_core)
+    control = Control()
     control.conflict_limit = args.budget
     for path in args.files:
         text = sys.stdin.read() if path == "-" else open(path).read()
@@ -136,7 +129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"Restarts: {stats.restarts}  Learned: {stats.learned}"
         )
         print(
-            f"Core: {stats.core}  Propagations: {stats.propagations}  "
+            f"Propagations: {stats.propagations}  "
             f"Clause DB: {stats.clause_db_bytes} bytes"
         )
         grounding = control.ground_program.grounding

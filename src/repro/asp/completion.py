@@ -1,6 +1,6 @@
 """Translation of ground programs to clauses (Clark completion).
 
-Produces the clause set solved by :mod:`repro.asp.solver`:
+Produces the clause set solved by :mod:`repro.asp.flatsolver`:
 
 * one solver variable per possible non-fact atom (facts are folded into a
   dedicated always-true literal),
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.asp.flatsolver import FlatSolver
 from repro.asp.ground import GroundProgram
 from repro.asp.grounder import (
     GroundAggregate,
@@ -31,7 +32,6 @@ from repro.asp.grounder import (
     GroundTheoryAtom,
     GroundingError,
 )
-from repro.asp.solver import Solver
 from repro.asp.syntax import Function
 
 __all__ = ["Support", "Translation", "translate", "PseudoBooleanBuilder"]
@@ -50,7 +50,7 @@ class Support:
 class Translation:
     """The result of translating a ground program."""
 
-    solver: Solver
+    solver: FlatSolver
     program: GroundProgram
     true_lit: int
     atom_vars: Dict[Function, int] = field(default_factory=dict)
@@ -85,7 +85,7 @@ class PseudoBooleanBuilder:
     must be positive; callers shift negative weights beforehand.
     """
 
-    def __init__(self, solver: Solver, true_lit: int):
+    def __init__(self, solver: FlatSolver, true_lit: int):
         self._solver = solver
         self._true = true_lit
 
@@ -129,7 +129,7 @@ class PseudoBooleanBuilder:
 
 
 class _Translator:
-    def __init__(self, program: GroundProgram, solver: Solver):
+    def __init__(self, program: GroundProgram, solver: FlatSolver):
         self._program = program
         self._solver = solver
         true_var = solver.new_var()
@@ -455,8 +455,6 @@ class _Translator:
             self._solver.add_clause([-var] + supports)
 
 
-def translate(program: GroundProgram, solver: Optional[Solver] = None) -> Translation:
-    """Translate ``program`` into clauses on ``solver`` (a new one if None)."""
-    if solver is None:
-        solver = Solver()
+def translate(program: GroundProgram, solver: FlatSolver) -> Translation:
+    """Translate ``program`` into clauses on ``solver``."""
     return _Translator(program, solver).translate()

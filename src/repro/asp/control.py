@@ -19,17 +19,16 @@ functionally determined and need no blocking).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.asp.completion import Translation, translate
+from repro.asp.flatsolver import FlatSolver, SolverStatistics
 from repro.asp.ground import GroundProgram
 from repro.asp.grounder import Grounder
 from repro.asp.parser import parse_program
 from repro.asp.propagator import PropagatorInit, TheoryPropagator
-from repro.asp.solver import Solver, SolverStatistics
 from repro.asp.syntax import Function, Number
 from repro.asp.unfounded import UnfoundedSetPropagator
 
@@ -182,23 +181,10 @@ class SolveSummary:
 class Control:
     """Grounder + translator + solver with theory propagators."""
 
-    def __init__(self, solver_core: Optional[str] = None) -> None:
-        if solver_core is None:
-            solver_core = os.environ.get("REPRO_SOLVER_CORE", "flat")
-        if solver_core not in ("flat", "reference"):
-            raise ValueError(
-                f"unknown solver core {solver_core!r} "
-                f"(expected 'flat' or 'reference')"
-            )
-        #: Which CDNL engine backs this Control: ``"flat"`` (the
-        #: array-based core, default) or ``"reference"`` (the object
-        #: core, kept as a differential oracle — same pattern as the
-        #: grounder's ``mode="naive"``).  Overridable per process with
-        #: the ``REPRO_SOLVER_CORE`` environment variable.
-        self.solver_core = solver_core
+    def __init__(self) -> None:
         self._parts: List[str] = []
         self._propagators: List[TheoryPropagator] = []
-        self._solver: Optional[Solver] = None
+        self._solver: Optional[FlatSolver] = None
         self._translation: Optional[Translation] = None
         self._ground_program: Optional[GroundProgram] = None
         self._model_count = 0
@@ -267,12 +253,7 @@ class Control:
         self._shows = program.shows
         self._external_signatures = set(program.externals)
         self._ground_program = program
-        if self.solver_core == "flat":
-            from repro.asp.flatsolver import FlatSolver
-
-            solver = FlatSolver()
-        else:
-            solver = Solver()
+        solver = FlatSolver()
         self._translation = translate(self._ground_program, solver)
         self._solver = solver
         if not self._ground_program.is_tight:
@@ -341,7 +322,7 @@ class Control:
         return self._ground_program
 
     @property
-    def solver(self) -> Solver:
+    def solver(self) -> FlatSolver:
         if self._solver is None:
             raise RuntimeError("ground() has not been called")
         return self._solver

@@ -1,10 +1,17 @@
-"""Flat-array CDNL solver core (the ``solver_core="flat"`` engine).
+"""Flat-array CDNL solver: the engine behind every :class:`Control`.
 
-Same search algorithm as :class:`repro.asp.solver.Solver` — two-watched
-literal unit propagation, first-UIP learning with recursive clause
-minimization, VSIDS, phase saving, Luby restarts, learned-clause
-deletion, assumption-based solving with cores, and the full propagator
-interface — but every hot data structure is flat:
+A MiniSat-style CDCL engine extended with the propagator interface the
+ASPmT stack needs (mirroring clasp/clingo): two-watched-literal unit
+propagation, first-UIP learning with recursive clause minimization,
+VSIDS, phase saving, Luby restarts, learned-clause deletion,
+assumption-based solving with cores, and *propagators* — external
+objects that watch literals, get told about assignments at propagation
+fixpoints, may add clauses at any decision level (lazy clause
+generation), and are consulted before a total assignment is accepted as
+a model.  Literals are non-zero integers: ``+v`` means variable ``v`` is
+true, ``-v`` that it is false.  Variable 0 is unused.
+
+Every hot data structure is flat:
 
 * **Clause arena** — the nogood store is a single flat int list; a
   clause *reference* is its offset into the arena, where
@@ -44,28 +51,98 @@ learned clauses, and reasons on the trail — are remapped in the watch
 lists and reason array), so ``clause_db_bytes`` stays proportional to
 the live clause set.
 
-The engine is selected through :class:`repro.asp.control.Control`
-(``solver_core="flat"``, the default); ``solver_core="reference"`` keeps
-the object-based engine, which doubles as a differential oracle exactly
-like ``mode="naive"`` does for the grounder.  ``tests/test_flatsolver.py``
-and the ``solver-core`` fuzz oracle hold the two cores equivalent on
-models, cores, and Pareto fronts.
+The object-based :class:`repro.asp.solver.Solver` implements the same
+search algorithm over one ``Clause`` object per clause.  It is the
+reference the tests and the ``solver-core`` fuzz oracle hold this engine
+against, like ``mode="naive"`` for the grounder; no production path
+selects it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.asp.solver import (
-    PropagatorBase,
-    SolveResult,
-    SolverStatistics,
-    _luby,
-)
+__all__ = ["FlatSolver", "PropagatorBase", "SolveResult", "SolverStatistics"]
 
-__all__ = ["FlatSolver"]
+
+@dataclass
+class SolveResult:
+    """Outcome of a :meth:`FlatSolver.solve` call."""
+
+    satisfiable: bool
+    #: For unsatisfiable results under assumptions: a subset of the
+    #: assumptions sufficient for unsatisfiability.
+    core: Tuple[int, ...] = ()
+
+    def __bool__(self) -> bool:
+        return self.satisfiable
+
+
+class PropagatorBase:
+    """Base class for propagators (theory, unfounded-set, dominance).
+
+    Subclasses override any of the hooks; all have default no-op
+    implementations so simple propagators stay small.  The ``solver``
+    argument gives access to the assignment (:meth:`FlatSolver.value`,
+    :attr:`FlatSolver.decision_level`) and to clause addition
+    (:meth:`FlatSolver.add_propagator_clause`).
+    """
+
+    def on_attach(self, solver: "FlatSolver") -> None:
+        """Called when the propagator is registered."""
+
+    def propagate(self, solver: "FlatSolver", changes: Sequence[int]) -> bool:
+        """Called at propagation fixpoints with newly-true watched literals.
+
+        Return ``False`` if a conflict was produced via
+        :meth:`FlatSolver.add_propagator_clause` (the solver then resolves it).
+        """
+        return True
+
+    def undo(self, solver: "FlatSolver", level: int) -> None:
+        """Roll internal state back so it reflects the end of ``level``."""
+
+    def check(self, solver: "FlatSolver") -> bool:
+        """Called on total assignments; return ``False`` on conflict."""
+        return True
+
+
+@dataclass
+class SolverStatistics:
+    """Search statistics, exposed by the benchmarks."""
+
+    conflicts: int = 0
+    decisions: int = 0
+    propagations: int = 0
+    restarts: int = 0
+    learned: int = 0
+    deleted: int = 0
+    propagator_clauses: int = 0
+    #: Wall seconds spent in two-watched-literal unit propagation.
+    time_boolean: float = 0.0
+    #: Wall seconds spent inside propagator callbacks (theory fixpoints).
+    time_theory: float = 0.0
+    #: Bytes held by the clause store at the end of the last solve call,
+    #: at 4 bytes per arena slot.
+    clause_db_bytes: int = 0
+
+
+def _luby(i: int) -> int:
+    """The Luby restart sequence (1-indexed): 1 1 2 1 1 2 4 1 1 2 ..."""
+    x = i - 1
+    size, seq = 1, 0
+    while size < x + 1:
+        seq += 1
+        size = 2 * size + 1
+    while size - 1 != x:
+        size = (size - 1) // 2
+        seq -= 1
+        x %= size
+    return 1 << seq
+
 
 #: Reason sentinel: the variable was a decision/assumption or is unassigned.
 NO_REASON = -1
@@ -122,7 +199,7 @@ class FlatSolver:
         self._prop_buffers: List[List[int]] = []
         self._pending_conflict: Optional[int] = None
 
-        self.stats = SolverStatistics(core="flat")
+        self.stats = SolverStatistics()
         #: Optional hard budget on conflicts for a single solve() call.
         self.conflict_limit: Optional[int] = None
         #: Conflicts per Luby restart unit (None disables restarts).
@@ -194,7 +271,7 @@ class FlatSolver:
         heapify(self._heap)
 
     # ------------------------------------------------------------------
-    # Assignment queries (public surface, shared with the reference core)
+    # Assignment queries (the propagator-facing surface)
     # ------------------------------------------------------------------
 
     def value(self, lit: int) -> Optional[bool]:
@@ -329,14 +406,16 @@ class FlatSolver:
         May be called at any decision level.  Returns ``False`` when the
         clause is conflicting under the current assignment; the solver
         will resolve the conflict when the propagation round returns.
+        Raises ``ValueError`` on a zero or unknown literal.
         """
         self.stats.propagator_clauses += 1
-        lits = list(dict.fromkeys(lits))
-        if any(-lit in lits for lit in lits):
-            return True  # tautology
-        for lit in lits:
+        unique = dict.fromkeys(lits)
+        for lit in unique:
             if lit == 0 or abs(lit) > self._nvars:
                 raise ValueError(f"invalid literal {lit}")
+        if any(-lit in unique for lit in unique):
+            return True  # tautology
+        lits = list(unique)
         assign = self._assign
         levels = self._levels
         if any(assign[lit] > 0 and levels[abs(lit)] == 0 for lit in lits):

@@ -7,8 +7,8 @@ the DSE dominance propagator) implement :class:`TheoryPropagator`:
   :class:`PropagatorInit` giving access to ground theory atoms, symbolic
   atoms and watch registration;
 * ``propagate(solver, changes)`` / ``undo(solver, level)`` / ``check(solver)``
-  — inherited from :class:`repro.asp.solver.PropagatorBase`, called during
-  search;
+  — inherited from :class:`repro.asp.flatsolver.PropagatorBase`, called
+  during search by the :class:`~repro.asp.flatsolver.FlatSolver` engine;
 * ``model_values(solver)`` — optional hook invoked on a total assignment
   to snapshot theory values (schedules, objective vectors) into the
   :class:`repro.asp.control.Model`.
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.asp.completion import Translation
+from repro.asp.flatsolver import FlatSolver, PropagatorBase
 from repro.asp.grounder import GroundTheoryAtom
-from repro.asp.solver import PropagatorBase, Solver
 from repro.asp.syntax import Function
 
 __all__ = ["PropagatorInit", "TheoryPropagator"]
@@ -31,7 +31,7 @@ __all__ = ["PropagatorInit", "TheoryPropagator"]
 class PropagatorInit:
     """Grounding results handed to ``TheoryPropagator.init``."""
 
-    solver: Solver
+    solver: FlatSolver
     translation: Translation
 
     @property
@@ -66,6 +66,6 @@ class TheoryPropagator(PropagatorBase):
     def init(self, init: PropagatorInit) -> None:
         """Inspect theory atoms, create state, register watches."""
 
-    def model_values(self, solver: Solver) -> Dict[str, object]:
+    def model_values(self, solver: FlatSolver) -> Dict[str, object]:
         """Snapshot theory values on a total assignment (optional)."""
         return {}

@@ -1,7 +1,8 @@
-"""Conflict-driven nogood-learning (CDNL) solver core.
+"""Reference CDNL solver: the test oracle for :mod:`repro.asp.flatsolver`.
 
 A MiniSat-style CDCL engine extended with the propagator interface the
-ASPmT stack needs (mirroring clasp/clingo):
+ASPmT stack needs (mirroring clasp/clingo), written over one
+:class:`Clause` object per clause:
 
 * two-watched-literal unit propagation,
 * first-UIP conflict analysis with recursive clause minimization,
@@ -15,16 +16,28 @@ ASPmT stack needs (mirroring clasp/clingo):
 
 Literals are non-zero integers: ``+v`` means variable ``v`` is true,
 ``-v`` that it is false.  Variable 0 is unused.
+
+:class:`~repro.asp.flatsolver.FlatSolver` runs the same search algorithm
+over flat arrays and is the engine every :class:`repro.asp.control.Control`
+builds.  This solver is kept as the executable specification that the
+solver tests and the ``solver-core`` fuzz oracle compare it against; no
+production path selects it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Clause", "Solver", "SolveResult", "PropagatorBase"]
+from repro.asp.flatsolver import (
+    PropagatorBase,
+    SolveResult,
+    SolverStatistics,
+    _luby,
+)
+
+__all__ = ["Clause", "Solver"]
 
 
 class Clause:
@@ -41,87 +54,8 @@ class Clause:
         return f"Clause({self.lits}, learned={self.learned})"
 
 
-@dataclass
-class SolveResult:
-    """Outcome of a :meth:`Solver.solve` call."""
-
-    satisfiable: bool
-    #: For unsatisfiable results under assumptions: a subset of the
-    #: assumptions sufficient for unsatisfiability.
-    core: Tuple[int, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.satisfiable
-
-
-class PropagatorBase:
-    """Base class for propagators (theory, unfounded-set, dominance).
-
-    Subclasses override any of the hooks; all have default no-op
-    implementations so simple propagators stay small.  The ``solver``
-    argument gives access to the assignment (:meth:`Solver.value`,
-    :attr:`Solver.decision_level`) and to clause addition
-    (:meth:`Solver.add_propagator_clause`).
-    """
-
-    def on_attach(self, solver: "Solver") -> None:
-        """Called when the propagator is registered."""
-
-    def propagate(self, solver: "Solver", changes: Sequence[int]) -> bool:
-        """Called at propagation fixpoints with newly-true watched literals.
-
-        Return ``False`` if a conflict was produced via
-        :meth:`Solver.add_propagator_clause` (the solver then resolves it).
-        """
-        return True
-
-    def undo(self, solver: "Solver", level: int) -> None:
-        """Roll internal state back so it reflects the end of ``level``."""
-
-    def check(self, solver: "Solver") -> bool:
-        """Called on total assignments; return ``False`` on conflict."""
-        return True
-
-
-@dataclass
-class SolverStatistics:
-    """Search statistics, exposed by the benchmarks."""
-
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    restarts: int = 0
-    learned: int = 0
-    deleted: int = 0
-    propagator_clauses: int = 0
-    #: Wall seconds spent in two-watched-literal unit propagation.
-    time_boolean: float = 0.0
-    #: Wall seconds spent inside propagator callbacks (theory fixpoints).
-    time_theory: float = 0.0
-    #: Bytes held by the clause store at the end of the last solve call
-    #: (the arena size for the flat core; an arena-equivalent estimate
-    #: for the reference core, so the two are directly comparable).
-    clause_db_bytes: int = 0
-    #: Which engine produced these statistics ("reference" or "flat").
-    core: str = "reference"
-
-
-def _luby(i: int) -> int:
-    """The Luby restart sequence (1-indexed): 1 1 2 1 1 2 4 1 1 2 ..."""
-    x = i - 1
-    size, seq = 1, 0
-    while size < x + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x:
-        size = (size - 1) // 2
-        seq -= 1
-        x %= size
-    return 1 << seq
-
-
 class Solver:
-    """The CDCL engine."""
+    """The reference CDCL engine (one object per clause)."""
 
     def __init__(self) -> None:
         self._nvars = 0
@@ -297,14 +231,16 @@ class Solver:
         May be called at any decision level.  Returns ``False`` when the
         clause is conflicting under the current assignment; the solver
         will resolve the conflict when the propagation round returns.
+        Raises ``ValueError`` on a zero or unknown literal.
         """
         self.stats.propagator_clauses += 1
-        lits = list(dict.fromkeys(lits))
-        if any(-lit in lits for lit in lits):
-            return True  # tautology
-        for lit in lits:
+        unique = dict.fromkeys(lits)
+        for lit in unique:
             if lit == 0 or abs(lit) > self._nvars:
                 raise ValueError(f"invalid literal {lit}")
+        if any(-lit in unique for lit in unique):
+            return True  # tautology
+        lits = list(unique)
         if any(self.value(lit) is True and self.level(lit) == 0 for lit in lits):
             return True  # satisfied forever
         lits = [lit for lit in lits if not (self.value(lit) is False and self.level(lit) == 0)]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.asp.completion import Translation
-from repro.asp.solver import PropagatorBase, Solver
+from repro.asp.flatsolver import FlatSolver, PropagatorBase
 from repro.asp.syntax import Function
 
 __all__ = ["UnfoundedSetPropagator"]
@@ -64,7 +64,7 @@ class UnfoundedSetPropagator(PropagatorBase):
     def tracked_components(self) -> int:
         return len(self._components)
 
-    def on_attach(self, solver: Solver) -> None:
+    def on_attach(self, solver: FlatSolver) -> None:
         if not self._components:
             return
         for lit in sorted(self._watch_to_components):
@@ -72,7 +72,7 @@ class UnfoundedSetPropagator(PropagatorBase):
         # Ensure an initial propagation round even without support events.
         solver.add_propagator_watch(self._translation.true_lit, self)
 
-    def propagate(self, solver: Solver, changes: Sequence[int]) -> bool:
+    def propagate(self, solver: FlatSolver, changes: Sequence[int]) -> bool:
         for lit in changes:
             if lit == self._translation.true_lit:
                 self._dirty.update(range(len(self._components)))
@@ -84,12 +84,12 @@ class UnfoundedSetPropagator(PropagatorBase):
                 return False
         return True
 
-    def undo(self, solver: Solver, level: int) -> None:
+    def undo(self, solver: FlatSolver, level: int) -> None:
         # Backtracking can only make supports non-false, which enlarges the
         # founded set; no unfounded atoms can appear, so nothing to do.
         pass
 
-    def check(self, solver: Solver) -> bool:
+    def check(self, solver: FlatSolver) -> bool:
         for index in range(len(self._components)):
             if not self._process(solver, index):
                 return False
@@ -97,7 +97,7 @@ class UnfoundedSetPropagator(PropagatorBase):
 
     # -- core -------------------------------------------------------------------
 
-    def _process(self, solver: Solver, index: int) -> bool:
+    def _process(self, solver: FlatSolver, index: int) -> bool:
         component = self._components[index]
         founded: Set[Function] = set()
         changed = True

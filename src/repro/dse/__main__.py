@@ -51,13 +51,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     options.add_argument("--epsilon", type=int, default=0, help="approximation factor")
     options.add_argument("--archive", choices=("list", "quadtree"), default="list")
     options.add_argument(
-        "--solver-core",
-        choices=("flat", "reference"),
-        default=None,
-        help="CDNL engine: flat array core (default) or the reference "
-        "object core (differential oracle; see docs/SOLVER.md)",
-    )
-    options.add_argument(
         "--budget", type=int, default=None, help="conflict budget per worker"
     )
     options.add_argument(
@@ -211,7 +204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         archive=args.archive,
         epsilon=args.epsilon,
         objective_phases=args.heuristics,
-        solver_core=args.solver_core,
         **chunk,
     ).run()
     stats = result.statistics
@@ -246,8 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         + (", cache hit" if stats.ground_cache_hit else "")
     )
     print(
-        f"solver: {stats.solver_core or 'flat'} core, "
-        f"{stats.propagations} propagations, {stats.restarts} restarts, "
+        f"solver: {stats.propagations} propagations, {stats.restarts} restarts, "
         f"{stats.clause_db_bytes} clause db bytes"
     )
     if instance.symmetry is not None:

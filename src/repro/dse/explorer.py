@@ -31,8 +31,8 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.asp.control import Control, Model
+from repro.asp.flatsolver import FlatSolver
 from repro.asp.propagator import PropagatorInit, TheoryPropagator
-from repro.asp.solver import Solver
 from repro.synthesis.encoding import EncodedInstance, ObjectiveSpec, encode
 from repro.synthesis.model import Specification
 from repro.synthesis.solution import Implementation, decode_model, validate
@@ -129,7 +129,7 @@ class DominancePropagator(TheoryPropagator):
 
     # -- pruning -----------------------------------------------------------------
 
-    def bound_vector(self, solver: Solver) -> Tuple[Tuple[int, ...], List[int]]:
+    def bound_vector(self, solver: FlatSolver) -> Tuple[Tuple[int, ...], List[int]]:
         """Lower-bound vector of the current assignment + explanation."""
         revision = self._linear.store.revision
         if self._bound_cache is not None and revision == self._cache_revision:
@@ -144,11 +144,11 @@ class DominancePropagator(TheoryPropagator):
         self._cache_revision = self._linear.store.revision
         return self._bound_cache
 
-    def value_vector(self, solver: Solver) -> Tuple[int, ...]:
+    def value_vector(self, solver: FlatSolver) -> Tuple[int, ...]:
         """Exact objective vector on a total assignment."""
         return tuple(objective.value(solver) for objective in self.objectives)
 
-    def _prune(self, solver: Solver, total: bool) -> bool:
+    def _prune(self, solver: FlatSolver, total: bool) -> bool:
         started = perf_counter()
         bounds, explanation = self.bound_vector(solver)
         dominator = self.archive.find_weak_dominator(bounds)
@@ -164,7 +164,7 @@ class DominancePropagator(TheoryPropagator):
         self.prune_time += perf_counter() - started
         return False
 
-    def propagate(self, solver: Solver, changes: Sequence[int]) -> bool:
+    def propagate(self, solver: FlatSolver, changes: Sequence[int]) -> bool:
         if changes:
             # A watched literal fired: the pseudo-Boolean bound parts may
             # have moved even when the linear store's revision did not.
@@ -173,13 +173,13 @@ class DominancePropagator(TheoryPropagator):
             return True
         return self._prune(solver, total=False)
 
-    def undo(self, solver: Solver, level: int) -> None:
+    def undo(self, solver: FlatSolver, level: int) -> None:
         self._bound_cache = None
 
-    def check(self, solver: Solver) -> bool:
+    def check(self, solver: FlatSolver) -> bool:
         return self._prune(solver, total=True)
 
-    def model_values(self, solver: Solver) -> Dict[str, object]:
+    def model_values(self, solver: FlatSolver) -> Dict[str, object]:
         return {
             "objectives": {
                 objective.name: objective.value(solver)
@@ -225,7 +225,7 @@ class ObjectiveBoundPropagator(TheoryPropagator):
         for lit in sorted(watched):
             init.add_watch(lit, self)
 
-    def _prune(self, solver: Solver) -> bool:
+    def _prune(self, solver: FlatSolver) -> bool:
         if self.activation is not None and solver.value(self.activation) is not True:
             return True  # stale epoch (or activation not yet assumed)
         for objective in self.objectives:
@@ -244,13 +244,13 @@ class ObjectiveBoundPropagator(TheoryPropagator):
                 return False
         return True
 
-    def propagate(self, solver: Solver, changes: Sequence[int]) -> bool:
+    def propagate(self, solver: FlatSolver, changes: Sequence[int]) -> bool:
         return self._prune(solver)
 
-    def check(self, solver: Solver) -> bool:
+    def check(self, solver: FlatSolver) -> bool:
         return self._prune(solver)
 
-    def model_values(self, solver: Solver) -> Dict[str, object]:
+    def model_values(self, solver: FlatSolver) -> Dict[str, object]:
         return {
             "objectives": {
                 objective.name: objective.value(solver)
@@ -281,11 +281,8 @@ class DseStatistics:
     propagations: int = 0
     #: Luby restarts performed by the solver core.
     restarts: int = 0
-    #: Clause store footprint at the end of the run (arena bytes for the
-    #: flat core; an arena-equivalent estimate for the reference core).
+    #: Clause store footprint at the end of the run (arena bytes).
     clause_db_bytes: int = 0
-    #: Which CDNL engine ran the search ("flat" or "reference").
-    solver_core: str = ""
     archive_comparisons: int = 0
     wall_time: float = 0.0
     interrupted: bool = False
@@ -346,8 +343,8 @@ class DseStatistics:
     #: One breakdown per worker (a sequential run has one worker): the
     #: keys of ``WORKER_SUMS`` plus ``worker``, ``injected``,
     #: ``interrupted``, ``steals``, ``pareto_points_local``, ``grounds``,
-    #: ``grounding_seconds``, ``solver_core`` and ``wall_time`` (seconds
-    #: spent in solver calls).
+    #: ``grounding_seconds`` and ``wall_time`` (seconds spent in solver
+    #: calls).
     per_worker: List[Dict[str, object]] = field(default_factory=list)
 
 
@@ -487,7 +484,6 @@ class ExactParetoExplorer:
         ground_program=None,
         ground_cache: bool = True,
         lint: object = False,
-        solver_core: Optional[str] = None,
         chunk_conflicts: Optional[int] = None,
     ):
         """Configure the explorer.
@@ -519,11 +515,6 @@ class ExactParetoExplorer:
         grounding (diagnostics surface as Python warnings and in the
         ``lint_*`` statistics), ``"raise"`` aborts on error-severity
         findings.
-
-        ``solver_core`` selects the CDNL engine: ``"flat"`` (array-based
-        core, the default) or ``"reference"`` (object core, the
-        differential oracle); ``None`` defers to ``REPRO_SOLVER_CORE``.
-        Both cores enumerate the same exact front (see docs/SOLVER.md).
         """
         self.instance = instance
         self.epsilon = epsilon
@@ -539,7 +530,7 @@ class ExactParetoExplorer:
             archive_impl,
             partial_pruning=partial_pruning,
         )
-        self.control = Control(solver_core=solver_core)
+        self.control = Control()
         self.control.conflict_limit = chunk_conflicts
         self.control.add(instance.program)
         self.control.register_propagator(self.linear)
@@ -817,7 +808,6 @@ class ExactParetoExplorer:
             "propagations": solver.stats.propagations,
             "restarts": solver.stats.restarts,
             "clause_db_bytes": solver.clause_db_bytes(),
-            "solver_core": solver.stats.core,
             "pruned_partial": self.dominance.pruned_partial,
             "pruned_total": self.dominance.pruned_total,
             "archive_comparisons": self.dominance.archive.comparisons,
@@ -1027,7 +1017,6 @@ def merge_run(
         for key, name in WORKER_SUMS.items():
             setattr(stats, name, getattr(stats, name) + entry[key])
         stats.interrupted = stats.interrupted or entry["interrupted"]
-        stats.solver_core = entry["solver_core"]
         stats.per_worker.append(entry)
     names = tuple(objective.name for objective in instance.objectives)
     points = [ParetoPoint(tuple(vector), payload) for vector, payload in merged]

@@ -183,8 +183,7 @@ class FuzzHarness:
         """Run ``input`` through every kind-compatible active oracle."""
         findings: List[Finding] = []
         for oracle in self.oracles:
-            # kind="any" oracles take both program and spec inputs.
-            if oracle.kind not in ("any", input.kind):
+            if oracle.kind != input.kind:
                 continue
             entry = None if stats is None else stats[oracle.name]
             started = time.perf_counter()

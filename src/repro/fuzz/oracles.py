@@ -20,7 +20,7 @@ oracle                input    compared paths
 ``front``             spec     exact explorer vs exhaustive vs parallel workers
 ``scale``             spec     objective scaling maps the front pointwise
 ``rename``            spec     task/resource renaming leaves the front invariant
-``solver-core``       any      flat vs reference CDNL core (models and fronts)
+``solver-core``       program  flat engine vs reference CDNL solver (stable models)
 ``symmetry-front``    spec     lex-leader symmetry breaking leaves the front invariant
 ``domain-soundness``  program  derived atoms lie in the inferred domains
 ``serve-cache``       spec     canonical digests identify renamed twins; remapped
@@ -34,10 +34,14 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.asp.completion import translate
 from repro.asp.control import Control, ground_text
+from repro.asp.flatsolver import FlatSolver
 from repro.asp.ground import GroundProgram
 from repro.asp.naive import naive_answer_sets
 from repro.asp.parser import ParseError
+from repro.asp.solver import Solver
+from repro.asp.unfounded import UnfoundedSetPropagator
 from repro.baselines.exhaustive import exhaustive_front
 from repro.dse.explorer import ExactParetoExplorer
 from repro.dse.parallel import ParallelParetoExplorer
@@ -81,7 +85,7 @@ class Oracle:
     """Base class: ``name``, input ``kind``, and a ``check`` method."""
 
     name = "oracle"
-    kind = "program"  # or "spec", or "any" (dispatches on input type)
+    kind = "program"  # or "spec"
 
     def check(self, input) -> None:
         raise NotImplementedError
@@ -113,13 +117,9 @@ def _ground_outcome(text: str, mode: str):
     )
 
 
-def _cdnl_models(
-    text: str,
-    program: Optional[GroundProgram] = None,
-    solver_core: Optional[str] = None,
-):
+def _cdnl_models(text: str, program: Optional[GroundProgram] = None):
     """Up to MODEL_CAP answer sets through the full CDNL pipeline."""
-    control = Control(solver_core=solver_core)
+    control = Control()
     if program is None:
         control.add(text)
         control.ground(cache=False)
@@ -294,7 +294,6 @@ class ReorderOracle(Oracle):
 def _front_vectors(
     spec_input: SpecInput,
     specification: Optional[Specification] = None,
-    solver_core: Optional[str] = None,
     symmetry: str = "auto",
 ) -> List[Tuple[int, ...]]:
     """The exact front of the instance, via the reference explorer."""
@@ -304,9 +303,7 @@ def _front_vectors(
         latency_bound=spec_input.latency_bound,
         symmetry=symmetry,
     )
-    result = ExactParetoExplorer(
-        instance, validate_models=False, solver_core=solver_core
-    ).run()
+    result = ExactParetoExplorer(instance, validate_models=False).run()
     return result.vectors()
 
 
@@ -466,26 +463,45 @@ class RenameOracle(Oracle):
             )
 
 
-class SolverCoreOracle(Oracle):
-    """The flat and reference CDNL cores are interchangeable engines.
+def _engine_models(program: GroundProgram, engine: type) -> List[frozenset]:
+    """Up to MODEL_CAP answer sets of ``program`` on one CDNL engine.
 
-    On programs both cores must enumerate the same stable-model set; on
-    specifications both must produce the same exact Pareto front.  This
-    is the solver-level twin of the ``grounding`` oracle (semi-naive vs
-    naive): the reference object solver is the executable specification
-    the flat array core (:mod:`repro.asp.flatsolver`) is held against.
+    Drives the engine through the interface both engines share: the
+    clause translation, the unfounded-set propagator on non-tight
+    programs, and blocking clauses over the symbolic atoms.
+    """
+    solver = engine()
+    translation = translate(program, solver)
+    if not program.is_tight:
+        solver.register_propagator(UnfoundedSetPropagator(translation))
+    models: List[frozenset] = []
+    while len(models) < MODEL_CAP and solver.solve().satisfiable:
+        models.append(frozenset(str(s) for s in translation.symbols_of_model()))
+        blocking = [
+            -var if solver.value(var) is True else var
+            for var in translation.atom_vars.values()
+        ]
+        solver.reset_to_root()
+        if not solver.add_clause(blocking):
+            break
+    return sorted(models, key=sorted)
+
+
+class SolverCoreOracle(Oracle):
+    """The flat engine and the reference solver find the same answer sets.
+
+    This is the solver-level twin of the ``grounding`` oracle (semi-naive
+    vs naive): the object-based :class:`repro.asp.solver.Solver` is the
+    executable specification the flat engine
+    (:mod:`repro.asp.flatsolver`) is held against.  Fronts need no
+    second engine: the ``front`` oracle checks the flat engine's fronts
+    against exhaustive enumeration, which shares no code with it.
     """
 
     name = "solver-core"
-    kind = "any"  # dispatches on the input type
+    kind = "program"
 
-    def check(self, input) -> None:
-        if isinstance(input, SpecInput):
-            self._check_spec(input)
-        else:
-            self._check_program(input)
-
-    def _check_program(self, input: ProgramInput) -> None:
+    def check(self, input: ProgramInput) -> None:
         if input.has_theory:
             raise Skip("theory atoms")  # needs registered propagators
         try:
@@ -494,28 +510,17 @@ class SolverCoreOracle(Oracle):
             raise Skip("program does not parse")
         except Exception:
             raise Skip("program does not ground")
-        flat = _cdnl_models(input.text, program=program, solver_core="flat")
-        reference = _cdnl_models(
-            input.text, program=program, solver_core="reference"
-        )
+        flat = _engine_models(program, FlatSolver)
+        reference = _engine_models(program, Solver)
         if len(flat) >= MODEL_CAP or len(reference) >= MODEL_CAP:
             raise Skip("model cap reached; comparison would be truncated")
         if flat != reference:
             only_flat = [sorted(m) for m in flat if m not in reference][:2]
             only_ref = [sorted(m) for m in reference if m not in flat][:2]
             self.diverge(
-                f"stable models differ between solver cores: flat found "
+                f"stable models differ between solver engines: flat found "
                 f"{len(flat)}, reference found {len(reference)} "
                 f"(flat-only {only_flat}, reference-only {only_ref})"
-            )
-
-    def _check_spec(self, input: SpecInput) -> None:
-        flat = _front_vectors(input, solver_core="flat")
-        reference = _front_vectors(input, solver_core="reference")
-        if flat != reference:
-            self.diverge(
-                f"Pareto front differs between solver cores: "
-                f"flat {flat} != reference {reference}"
             )
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.asp.flatsolver import FlatSolver
 from repro.asp.grounder import GroundTheoryAtom, TheoryTermOp
 from repro.asp.propagator import PropagatorInit, TheoryPropagator
-from repro.asp.solver import Solver
 from repro.asp.syntax import Function, Number, Symbol
 
 __all__ = ["DifferenceLogicPropagator", "DifferenceEdge"]
@@ -129,7 +129,7 @@ class DifferenceLogicPropagator(TheoryPropagator):
     # Propagation
     # ------------------------------------------------------------------
 
-    def propagate(self, solver: Solver, changes: Sequence[int]) -> bool:
+    def propagate(self, solver: FlatSolver, changes: Sequence[int]) -> bool:
         level = solver.decision_level
         if not self._level_marks or self._level_marks[-1][0] < level:
             self._level_marks.append((level, len(self._active), len(self._pi_trail)))
@@ -141,7 +141,7 @@ class DifferenceLogicPropagator(TheoryPropagator):
                     return False
         return True
 
-    def undo(self, solver: Solver, level: int) -> None:
+    def undo(self, solver: FlatSolver, level: int) -> None:
         while self._level_marks and self._level_marks[-1][0] > level:
             _lvl, n_active, n_pi = self._level_marks.pop()
             while len(self._active) > n_active:
@@ -153,7 +153,7 @@ class DifferenceLogicPropagator(TheoryPropagator):
                 node, old = self._pi_trail.pop()
                 self._pi[node] = old
 
-    def check(self, solver: Solver) -> bool:
+    def check(self, solver: FlatSolver) -> bool:
         # Propagation is eager and exact for difference logic; nothing to do.
         return True
 
@@ -162,7 +162,7 @@ class DifferenceLogicPropagator(TheoryPropagator):
             self._pi_trail.append((node, self._pi[node]))
         self._pi[node] = value
 
-    def _activate(self, solver: Solver, index: int) -> bool:
+    def _activate(self, solver: FlatSolver, index: int) -> bool:
         """Activate one edge, repairing potentials (Cotton–Maler)."""
         edge = self._edges[index]
         self._active.append(index)
@@ -218,5 +218,5 @@ class DifferenceLogicPropagator(TheoryPropagator):
             if name != self.ZERO
         }
 
-    def model_values(self, solver: Solver) -> Dict[str, object]:
+    def model_values(self, solver: FlatSolver) -> Dict[str, object]:
         return {"dl": self.assignment()}

@@ -44,9 +44,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.asp.flatsolver import FlatSolver
 from repro.asp.grounder import GroundTheoryAtom, TheoryTermOp
 from repro.asp.propagator import PropagatorInit, TheoryPropagator
-from repro.asp.solver import Solver
 from repro.asp.syntax import Function, Number, Symbol
 from repro.theory.domain import INT_MAX, INT_MIN, IntervalStore
 
@@ -140,7 +140,7 @@ class LinearPropagator(TheoryPropagator):
         # from the re-queue lists.
         self._unit_var: List[int] = []
         self._retired: Set[int] = set()
-        self._solver: Optional[Solver] = None
+        self._solver: Optional[FlatSolver] = None
         #: Statistics: bound updates / conflicts / propagated literals.
         self.bound_updates = 0
         self.theory_conflicts = 0
@@ -345,7 +345,7 @@ class LinearPropagator(TheoryPropagator):
     # Propagation
     # ------------------------------------------------------------------
 
-    def propagate(self, solver: Solver, changes: Sequence[int]) -> bool:
+    def propagate(self, solver: FlatSolver, changes: Sequence[int]) -> bool:
         # Fast path: nothing to do when no changed literal is watched by a
         # constraint — bail out before allocating the queue/set pair (this
         # runs on every boolean propagation fixpoint).
@@ -364,13 +364,13 @@ class LinearPropagator(TheoryPropagator):
             changed[index] = True
         return self._fixpoint(solver, deque(indices), set(indices))
 
-    def check(self, solver: Solver) -> bool:
+    def check(self, solver: FlatSolver) -> bool:
         self._changed = [True] * len(self._rows)
         retired = self._retired
         queue = deque(i for i in range(len(self._rows)) if i not in retired)
         return self._fixpoint(solver, queue, set(queue))
 
-    def undo(self, solver: Solver, level: int) -> None:
+    def undo(self, solver: FlatSolver, level: int) -> None:
         self.store.undo(level)
         self._changed = [True] * len(self._rows)
 
@@ -379,7 +379,7 @@ class LinearPropagator(TheoryPropagator):
     #: iterations instead of failing fast.
     MAX_FIXPOINT_STEPS = 200_000
 
-    def _fixpoint(self, solver: Solver, queue: deque, queued: Set[int]) -> bool:
+    def _fixpoint(self, solver: FlatSolver, queue: deque, queued: Set[int]) -> bool:
         """Evaluate queued constraints in FIFO order until nothing moves.
 
         A popped constraint is evaluated only when it is active and one of
@@ -438,7 +438,7 @@ class LinearPropagator(TheoryPropagator):
         self._retired.add(index)
 
     def _propagate_constraint(
-        self, solver: Solver, row: Tuple[int, tuple, tuple, int, int], level: int
+        self, solver: FlatSolver, row: Tuple[int, tuple, tuple, int, int], level: int
     ) -> Optional[List[int]]:
         """Propagate one active constraint; None signals a conflict.
 
@@ -546,7 +546,7 @@ class LinearPropagator(TheoryPropagator):
             raise KeyError(f"unknown theory variable {name}")
         return self.store.lb(var), self.store.lb_reason(var)
 
-    def model_values(self, solver: Solver) -> Dict[str, object]:
+    def model_values(self, solver: FlatSolver) -> Dict[str, object]:
         """On a total assignment, each variable's lower bound is a witness."""
         assignment = {
             self.store.name(v): self.store.lb(v) for v in self.store

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Protocol, Sequence, Tuple
 
-from repro.asp.solver import Solver
+from repro.asp.flatsolver import FlatSolver
 from repro.asp.syntax import Symbol
 from repro.theory.linear import LinearPropagator
 
@@ -38,10 +38,10 @@ class Objective(Protocol):
 
     name: str
 
-    def lower_bound(self, solver: Solver) -> Tuple[int, Tuple[int, ...]]:
+    def lower_bound(self, solver: FlatSolver) -> Tuple[int, Tuple[int, ...]]:
         """(bound, explanation literals) under the current assignment."""
 
-    def value(self, solver: Solver) -> int:
+    def value(self, solver: FlatSolver) -> int:
         """Exact value on a total assignment."""
 
     def watch_literals(self) -> Sequence[int]:
@@ -64,7 +64,7 @@ class PseudoBooleanObjective:
                     f"fold it into the offset and negate the literal"
                 )
 
-    def lower_bound(self, solver: Solver) -> Tuple[int, Tuple[int, ...]]:
+    def lower_bound(self, solver: FlatSolver) -> Tuple[int, Tuple[int, ...]]:
         bound = self.offset
         explanation: List[int] = []
         values = solver._values  # hot loop: avoid per-literal method calls
@@ -75,7 +75,7 @@ class PseudoBooleanObjective:
                 explanation.append(lit)
         return bound, tuple(explanation)
 
-    def value(self, solver: Solver) -> int:
+    def value(self, solver: FlatSolver) -> int:
         bound, _explanation = self.lower_bound(solver)
         return bound
 
@@ -91,10 +91,10 @@ class IntVarObjective:
     propagator: LinearPropagator
     variable: Symbol
 
-    def lower_bound(self, solver: Solver) -> Tuple[int, Tuple[int, ...]]:
+    def lower_bound(self, solver: FlatSolver) -> Tuple[int, Tuple[int, ...]]:
         return self.propagator.lower_bound(self.variable)
 
-    def value(self, solver: Solver) -> int:
+    def value(self, solver: FlatSolver) -> int:
         bound, _explanation = self.propagator.lower_bound(self.variable)
         return bound
 

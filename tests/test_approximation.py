@@ -81,9 +81,9 @@ class TestObjectivePhases:
         assert plain.vectors() == biased.vectors()
 
     def test_phase_setting_api(self):
-        from repro.asp.solver import Solver
+        from repro.asp.flatsolver import FlatSolver
 
-        solver = Solver()
+        solver = FlatSolver()
         v = solver.new_var()
         solver.set_phase(v, True)
         solver.add_clause([v, -v])
@@ -91,7 +91,7 @@ class TestObjectivePhases:
         assert solver.value(v) is True  # decision followed the phase
 
     def test_phase_rejects_unknown_var(self):
-        from repro.asp.solver import Solver
+        from repro.asp.flatsolver import FlatSolver
 
         with pytest.raises(ValueError):
-            Solver().set_phase(3, True)
+            FlatSolver().set_phase(3, True)

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asp.completion import PseudoBooleanBuilder, translate
+from repro.asp.flatsolver import FlatSolver
 from repro.asp.ground import GroundProgram
 from repro.asp.grounder import Grounder
 from repro.asp.parser import parse_program
-from repro.asp.solver import Solver
 from repro.asp.syntax import parse_term
 
 
@@ -18,7 +18,7 @@ def translated(text):
     grounder = Grounder(parse_program(text))
     rules = grounder.ground()
     program = GroundProgram(rules, grounder.possible_atoms, grounder.fact_atoms)
-    return translate(program)
+    return translate(program, FlatSolver())
 
 
 class TestAtomMapping:
@@ -60,7 +60,7 @@ class TestModelDecoding:
 class TestPseudoBoolean:
     def _check_equivalence(self, weights, bound):
         """geq literal must equal [sum >= bound] in every total assignment."""
-        solver = Solver()
+        solver = FlatSolver()
         true_lit = solver.new_var()
         solver.add_clause([true_lit])
         lits = [solver.new_var() for _ in weights]
@@ -82,21 +82,21 @@ class TestPseudoBoolean:
         self._check_equivalence([3, 2, 2, 1], 5)
 
     def test_trivially_true(self):
-        solver = Solver()
+        solver = FlatSolver()
         t = solver.new_var()
         solver.add_clause([t])
         builder = PseudoBooleanBuilder(solver, t)
         assert builder.geq([(1, solver.new_var())], 0) == t
 
     def test_trivially_false(self):
-        solver = Solver()
+        solver = FlatSolver()
         t = solver.new_var()
         solver.add_clause([t])
         builder = PseudoBooleanBuilder(solver, t)
         assert builder.geq([(2, solver.new_var())], 3) == -t
 
     def test_rejects_nonpositive_weight(self):
-        solver = Solver()
+        solver = FlatSolver()
         t = solver.new_var()
         solver.add_clause([t])
         builder = PseudoBooleanBuilder(solver, t)

@@ -18,33 +18,21 @@ EXPECTED_TASKS = {
 }
 
 #: Work counters (conflicts, decisions, propagations, models_enumerated)
-#: of sequential ``explore()`` with default options, per solver core.
-#: They repeat exactly across runs and hash seeds, so a change that moves
-#: them changes the search trajectory and has to say so.  Only
-#: mesh_symmetric has a non-trivial platform group, so only its search
-#: carries lex-leader constraints.
+#: of sequential ``explore()`` with default options.  They repeat
+#: exactly across runs and hash seeds, so a change that moves them
+#: changes the search trajectory and has to say so.  Only mesh_symmetric
+#: has a non-trivial platform group, so only its search carries
+#: lex-leader constraints.
 EXPECTED_WORK = {
-    "flat": {
-        "consumer_jpeg": (226, 385, 11755, 11),
-        "telecom_modem": (131, 212, 6251, 5),
-        "auto_engine": (75, 114, 4188, 5),
-        "network_firewall": (1915, 2791, 139934, 35),
-        "mesh_symmetric": (696, 1164, 39977, 1),
-    },
-    "reference": {
-        "consumer_jpeg": (226, 385, 11758, 11),
-        "telecom_modem": (120, 200, 5540, 5),
-        "auto_engine": (75, 114, 4194, 5),
-        "network_firewall": (3272, 4535, 225854, 52),
-        "mesh_symmetric": (645, 1042, 38303, 1),
-    },
+    "consumer_jpeg": (226, 385, 11755, 11),
+    "telecom_modem": (131, 212, 6251, 5),
+    "auto_engine": (75, 114, 4188, 5),
+    "network_firewall": (1915, 2791, 139934, 35),
+    "mesh_symmetric": (696, 1164, 39977, 1),
 }
 
 #: The same counters for mesh_symmetric explored with ``symmetry="off"``.
-EXPECTED_WORK_SYMMETRY_OFF = {
-    "flat": (2682, 4548, 165187, 1),
-    "reference": (2688, 4802, 166557, 1),
-}
+EXPECTED_WORK_SYMMETRY_OFF = (2682, 4548, 165187, 1)
 
 
 def work_counters(stats):
@@ -94,11 +82,11 @@ class TestExploration:
     @pytest.mark.parametrize("name", CURATED_NAMES)
     def test_work_counters_pinned(self, name):
         stats = explore(curated(name)).statistics
-        assert work_counters(stats) == EXPECTED_WORK[stats.solver_core][name]
+        assert work_counters(stats) == EXPECTED_WORK[name]
 
     def test_work_counters_pinned_symmetry_off(self):
         stats = explore(curated("mesh_symmetric"), symmetry="off").statistics
-        assert work_counters(stats) == EXPECTED_WORK_SYMMETRY_OFF[stats.solver_core]
+        assert work_counters(stats) == EXPECTED_WORK_SYMMETRY_OFF
 
     def test_consumer_front_matches_exhaustive(self):
         spec = curated("consumer_jpeg")

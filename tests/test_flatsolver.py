@@ -1,24 +1,39 @@
-"""Differential tests: the flat CDNL core against the reference core.
+"""Differential tests: the flat CDNL engine against the reference solver.
 
-The flat core (``repro.asp.flatsolver``) must be observably equivalent
-to the object-based reference solver: same model sets under
-enumeration, same SAT/UNSAT answers and unsatisfiable cores under
-assumptions, same Pareto fronts through the full DSE stack
+The flat engine (``repro.asp.flatsolver``) must be observably equivalent
+to the object-based reference solver (``repro.asp.solver``): same model
+sets under enumeration, same SAT/UNSAT answers and unsatisfiable cores
+under assumptions, same Pareto fronts through the full DSE stack
 (sequentially and with ``jobs=2``).  Search *trajectories* may differ —
-the flat core propagates binary clauses first, so reason clauses and
+the flat engine propagates binary clauses first, so reason clauses and
 VSIDS bumps can diverge — but never the answers.  See docs/SOLVER.md.
+
+Every :class:`Control` builds the flat engine; the tests that need the
+reference solver behind a full ``Control`` substitute it with
+:func:`controls_build`.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
-from repro.asp.control import Control
+import repro.asp.control as control_module
+from repro.asp.completion import translate
+from repro.asp.control import Control, ground_text
 from repro.asp.flatsolver import FlatSolver
 from repro.asp.solver import Solver
 from repro.dse.explorer import ExactParetoExplorer
 from repro.synthesis.encoding import encode
 from repro.workloads.curated import curated
+
+
+@contextmanager
+def controls_build(engine):
+    """Every :class:`Control` grounded inside the block runs ``engine``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(control_module, "FlatSolver", engine)
+        yield
 
 
 def random_clauses(rng, nvars, nclauses, max_width=4):
@@ -154,7 +169,6 @@ class TestFlatInternals:
         solver.add_clause([1, 2, 3])
         solver.add_clause([-1, 4])
         assert solver.clause_db_bytes() == 4 * len(solver._arena)
-        assert solver.stats.core == "flat"
 
 
 class TestOrderHeapBounded:
@@ -200,13 +214,15 @@ THEORY_PROGRAM = """
 
 
 class TestControlEquivalence:
-    def collect(self, core):
-        ctl = Control(solver_core=core)
+    def collect(self, engine):
         from repro.theory import LinearPropagator
 
+        ctl = Control()
         ctl.add(THEORY_PROGRAM)
         ctl.register_propagator(LinearPropagator())
-        ctl.ground()
+        with controls_build(engine):
+            ctl.ground()
+        assert type(ctl.solver) is engine
         models = set()
 
         def on_model(model):
@@ -218,45 +234,68 @@ class TestControlEquivalence:
         return models
 
     def test_theory_models_match(self):
-        assert self.collect("reference") == self.collect("flat")
-
-    def test_invalid_core_rejected(self):
-        with pytest.raises(ValueError):
-            Control(solver_core="turbo")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_CORE", "reference")
-        assert Control().solver_core == "reference"
-        monkeypatch.delenv("REPRO_SOLVER_CORE")
-        assert Control().solver_core == "flat"
+        assert self.collect(Solver) == self.collect(FlatSolver)
 
 
 class TestDseEquivalence:
     @pytest.mark.parametrize("name", ["auto_engine", "telecom_modem"])
     def test_curated_front_matches_sequentially(self, name):
         fronts = {}
-        stats = {}
-        for core in ("reference", "flat"):
-            result = ExactParetoExplorer(
-                encode(curated(name)), solver_core=core
-            ).run()
-            fronts[core] = [point.vector for point in result.front]
-            stats[core] = result.statistics
-        assert fronts["reference"] == fronts["flat"]
-        assert stats["flat"].solver_core == "flat"
-        assert stats["reference"].solver_core == "reference"
-        assert stats["flat"].clause_db_bytes > 0
+        for engine in (Solver, FlatSolver):
+            explorer = ExactParetoExplorer(encode(curated(name)))
+            with controls_build(engine):
+                result = explorer.run()
+            assert type(explorer.control.solver) is engine
+            fronts[engine] = [point.vector for point in result.front]
+        assert fronts[Solver] == fronts[FlatSolver]
+        assert result.statistics.clause_db_bytes > 0
 
     def test_curated_front_matches_with_two_jobs(self):
         from repro.dse.parallel import ParallelParetoExplorer
 
         fronts = {}
-        for core in ("reference", "flat"):
-            result = ParallelParetoExplorer(
-                encode(curated("auto_engine")),
-                jobs=2,
-                backend="inline",
-                solver_core=core,
-            ).run()
-            fronts[core] = [point.vector for point in result.front]
-        assert fronts["reference"] == fronts["flat"]
+        for engine in (Solver, FlatSolver):
+            with controls_build(engine):
+                result = ParallelParetoExplorer(
+                    encode(curated("auto_engine")), jobs=2, backend="inline"
+                ).run()
+            fronts[engine] = [point.vector for point in result.front]
+        assert fronts[Solver] == fronts[FlatSolver]
+
+
+class TestRawEnumeration:
+    """Without propagators the two engines take the same trajectory.
+
+    The ground network_firewall program is translated into each engine
+    and 2000 models are enumerated with blocking clauses.  Decisions and
+    conflicts must agree exactly.  Propagation counts may differ by a
+    few: the flat engine drains binary implications before long clauses,
+    so it can enqueue some extra literals just before a conflict is
+    detected.
+    """
+
+    MODEL_CAP = 2000
+
+    def enumerate(self, engine, program):
+        solver = engine()
+        translate(program, solver)
+        models = 0
+        while models < self.MODEL_CAP and solver.solve().satisfiable:
+            models += 1
+            blocking = [-lit for lit in solver.model()]
+            solver.reset_to_root()
+            if not blocking or not solver.add_clause(blocking):
+                break
+        return models, solver.stats
+
+    def test_network_firewall_trajectories_match(self):
+        program = ground_text(encode(curated("network_firewall")).program)
+        models, reference = self.enumerate(Solver, program)
+        flat_models, flat = self.enumerate(FlatSolver, program)
+        assert models == flat_models == self.MODEL_CAP
+        assert (reference.conflicts, reference.decisions) == (
+            flat.conflicts,
+            flat.decisions,
+        )
+        assert flat.conflicts > 0
+        assert abs(reference.propagations - flat.propagations) <= flat.conflicts

@@ -13,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.asp.control as control_module
 import repro.dse.explorer as explorer_module
 from repro.asp import Control
+from repro.asp.flatsolver import FlatSolver
+from repro.asp.solver import Solver
 from repro.asp.syntax import Function
 from repro.dse.explorer import explore
 from repro.theory.linear import LinearPropagator
@@ -79,12 +82,14 @@ class EagerLinear(RecordingLinear):
         pass
 
 
-def run(propagator_cls, text, solver_core, assumptions=()):
+def run(propagator_cls, text, assumptions=(), engine=FlatSolver):
     propagator = propagator_cls()
-    ctl = Control(solver_core=solver_core)
+    ctl = Control()
     ctl.add(text)
     ctl.register_propagator(propagator)
-    ctl.ground()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(control_module, "FlatSolver", engine)
+        ctl.ground()
     models = []
     summary = ctl.solve(
         on_model=lambda m: models.append(
@@ -147,10 +152,10 @@ def theory_program(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(theory_program(), st.sampled_from(["flat", "reference"]))
-def test_skipping_matches_eager_evaluation(text, solver_core):
-    _eager, expected = run(EagerLinear, text, solver_core)
-    _incremental, got = run(RecordingLinear, text, solver_core)
+@given(theory_program())
+def test_skipping_matches_eager_evaluation(text):
+    _eager, expected = run(EagerLinear, text)
+    _incremental, got = run(RecordingLinear, text)
     assert got == expected, text
 
 
@@ -178,15 +183,15 @@ FORCED_MID_FIXPOINT = """
 """
 
 
-@pytest.mark.parametrize("solver_core", ["flat", "reference"])
+@pytest.mark.parametrize("engine", [FlatSolver, Solver], ids=["flat", "reference"])
 @pytest.mark.parametrize(
     "text, assumptions",
     [(SELF_CYCLE, ()), (FORCED_MID_FIXPOINT, ((Function("b"), True),))],
     ids=["self-cycle", "forced-mid-fixpoint"],
 )
-def test_hand_written_programs_match_eager(text, assumptions, solver_core):
-    _eager, expected = run(EagerLinear, text, solver_core, assumptions)
-    _incremental, got = run(RecordingLinear, text, solver_core, assumptions)
+def test_hand_written_programs_match_eager(text, assumptions, engine):
+    _eager, expected = run(EagerLinear, text, assumptions, engine)
+    _incremental, got = run(RecordingLinear, text, assumptions, engine)
     assert got == expected
 
 

@@ -1,35 +1,46 @@
-"""Unit tests for the CDCL core (repro.asp.solver)."""
+"""Unit tests for the CDCL engines.
+
+Each test class runs on the flat engine (repro.asp.flatsolver), and its
+``...Reference`` twin at the end of the file runs the same tests on the
+reference solver (repro.asp.solver) that the flat engine is held to.
+"""
 
 import pytest
 
-from repro.asp.solver import Clause, PropagatorBase, Solver, _luby
+from repro.asp.flatsolver import FlatSolver, PropagatorBase, _luby
+from repro.asp.solver import Solver
 
 
-def new_solver(n):
-    solver = Solver()
-    variables = [solver.new_var() for _ in range(n)]
-    return solver, variables
+class EngineCase:
+    """Tests build their solvers from ``engine``."""
+
+    engine = FlatSolver
+
+    def new_solver(self, n):
+        solver = self.engine()
+        variables = [solver.new_var() for _ in range(n)]
+        return solver, variables
 
 
-class TestBasics:
+class TestBasics(EngineCase):
     def test_empty_is_sat(self):
-        solver = Solver()
+        solver = self.engine()
         assert solver.solve().satisfiable
 
     def test_unit_clause(self):
-        solver, (a,) = new_solver(1)
+        solver, (a,) = self.new_solver(1)
         solver.add_clause([a])
         assert solver.solve().satisfiable
         assert solver.value(a) is True
 
     def test_contradiction(self):
-        solver, (a,) = new_solver(1)
+        solver, (a,) = self.new_solver(1)
         solver.add_clause([a])
         assert not solver.add_clause([-a])
         assert not solver.solve().satisfiable
 
     def test_simple_implication_chain(self):
-        solver, (a, b, c) = new_solver(3)
+        solver, (a, b, c) = self.new_solver(3)
         solver.add_clause([-a, b])
         solver.add_clause([-b, c])
         solver.add_clause([a])
@@ -37,23 +48,23 @@ class TestBasics:
         assert solver.value(c) is True
 
     def test_tautology_ignored(self):
-        solver, (a,) = new_solver(1)
+        solver, (a,) = self.new_solver(1)
         assert solver.add_clause([a, -a])
         assert solver.solve().satisfiable
 
     def test_invalid_literal_rejected(self):
-        solver, _ = new_solver(1)
+        solver, _ = self.new_solver(1)
         with pytest.raises(ValueError):
             solver.add_clause([0])
         with pytest.raises(ValueError):
             solver.add_clause([5])
 
 
-class TestSearch:
+class TestSearch(EngineCase):
     def test_pigeonhole_unsat(self):
         # 4 pigeons, 3 holes: classic small UNSAT instance exercising
         # conflict analysis and learning.
-        solver = Solver()
+        solver = self.engine()
         holes = 3
         pigeons = 4
         var = {
@@ -69,7 +80,7 @@ class TestSearch:
         assert solver.stats.conflicts > 0
 
     def test_pigeonhole_sat(self):
-        solver = Solver()
+        solver = self.engine()
         n = 4
         var = {(p, h): solver.new_var() for p in range(n) for h in range(n)}
         for p in range(n):
@@ -81,7 +92,7 @@ class TestSearch:
         assert solver.solve().satisfiable
 
     def test_model_enumeration_by_blocking(self):
-        solver, (a, b) = new_solver(2)
+        solver, (a, b) = self.new_solver(2)
         solver.add_clause([a, b])
         models = set()
         while solver.solve().satisfiable:
@@ -93,22 +104,22 @@ class TestSearch:
         assert len(models) == 3  # all but (False, False)
 
     def test_statistics_accumulate(self):
-        solver, (a, b, c) = new_solver(3)
+        solver, (a, b, c) = self.new_solver(3)
         solver.add_clause([a, b, c])
         solver.solve()
         assert solver.stats.decisions >= 1
 
 
-class TestAssumptions:
+class TestAssumptions(EngineCase):
     def test_sat_under_assumption(self):
-        solver, (a, b) = new_solver(2)
+        solver, (a, b) = self.new_solver(2)
         solver.add_clause([-a, b])
         result = solver.solve([a])
         assert result.satisfiable
         assert solver.value(b) is True
 
     def test_unsat_under_assumptions_with_core(self):
-        solver, (a, b) = new_solver(2)
+        solver, (a, b) = self.new_solver(2)
         solver.add_clause([-a, -b])
         result = solver.solve([a, b])
         assert not result.satisfiable
@@ -116,21 +127,21 @@ class TestAssumptions:
         assert result.core
 
     def test_solver_usable_after_assumption_unsat(self):
-        solver, (a, b) = new_solver(2)
+        solver, (a, b) = self.new_solver(2)
         solver.add_clause([-a, -b])
         assert not solver.solve([a, b]).satisfiable
         assert solver.solve([a]).satisfiable
         assert solver.value(b) is False
 
     def test_conflicting_assumption_pair(self):
-        solver, (a,) = new_solver(1)
+        solver, (a,) = self.new_solver(1)
         result = solver.solve([a, -a])
         assert not result.satisfiable
 
 
-class TestConflictLimit:
+class TestConflictLimit(EngineCase):
     def test_interrupt_flag(self):
-        solver = Solver()
+        solver = self.engine()
         n = 5  # pigeonhole 6/5, hard enough to exceed a tiny budget
         var = {
             (p, h): solver.new_var() for p in range(n + 1) for h in range(n)
@@ -171,9 +182,9 @@ class _ForbidPair(PropagatorBase):
         return True
 
 
-class TestPropagators:
+class TestPropagators(EngineCase):
     def test_propagator_forbids_pair(self):
-        solver, (a, b) = new_solver(2)
+        solver, (a, b) = self.new_solver(2)
         solver.add_clause([a])
         solver.add_clause([b, -b])  # mention b
         propagator = _ForbidPair(a, b)
@@ -182,19 +193,26 @@ class TestPropagators:
         assert not (solver.value(a) is True and solver.value(b) is True)
 
     def test_propagator_makes_unsat(self):
-        solver, (a, b) = new_solver(2)
+        solver, (a, b) = self.new_solver(2)
         solver.add_clause([a])
         solver.add_clause([b])
         solver.register_propagator(_ForbidPair(a, b))
         assert not solver.solve().satisfiable
 
     def test_propagator_clause_at_root(self):
-        solver, (a, b) = new_solver(2)
+        solver, (a, b) = self.new_solver(2)
         solver.register_propagator(_ForbidPair(a, b))
         solver.add_clause([a])
         solver.add_clause([b, a])
         assert solver.solve().satisfiable
         assert solver.value(b) is not True or solver.value(a) is not True
+
+    def test_propagator_clause_rejects_invalid_literals(self):
+        solver, (a,) = self.new_solver(1)
+        for lits in ([0], [0, a], [7, -7]):
+            with pytest.raises(ValueError):
+                solver.add_propagator_clause(lits)
+        assert solver.add_propagator_clause([a, -a])  # tautology: dropped
 
 
 class _CountingUndo(PropagatorBase):
@@ -216,9 +234,9 @@ class TestLuby:
         ]
 
 
-class TestSolverKnobs:
+class TestSolverKnobs(EngineCase):
     def test_no_restarts(self):
-        solver = Solver()
+        solver = self.engine()
         solver.restart_base = None
         n = 5
         var = {(p, h): solver.new_var() for p in range(n + 1) for h in range(n)}
@@ -232,7 +250,7 @@ class TestSolverKnobs:
         assert solver.stats.restarts == 0
 
     def test_phase_saving_off_prefers_negative(self):
-        solver = Solver()
+        solver = self.engine()
         a = solver.new_var(phase=True)
         solver.phase_saving = False
         solver.add_clause([a, -a])
@@ -240,7 +258,7 @@ class TestSolverKnobs:
         assert solver.value(a) is False
 
     def test_custom_restart_base(self):
-        solver = Solver()
+        solver = self.engine()
         solver.restart_base = 1  # restart after every conflict unit
         n = 4
         var = {(p, h): solver.new_var() for p in range(n + 1) for h in range(n)}
@@ -256,7 +274,7 @@ class TestSolverKnobs:
     def test_clause_database_reduction(self):
         # A small learned-clause budget forces database reduction on a
         # conflict-heavy instance.
-        solver = Solver()
+        solver = self.engine()
         solver.max_learned_base = 20
         n = 5
         var = {(p, h): solver.new_var() for p in range(n + 1) for h in range(n)}
@@ -268,3 +286,27 @@ class TestSolverKnobs:
                     solver.add_clause([-var[p1, h], -var[p2, h]])
         assert not solver.solve().satisfiable
         assert solver.stats.deleted > 0
+
+
+class TestBasicsReference(TestBasics):
+    engine = Solver
+
+
+class TestSearchReference(TestSearch):
+    engine = Solver
+
+
+class TestAssumptionsReference(TestAssumptions):
+    engine = Solver
+
+
+class TestConflictLimitReference(TestConflictLimit):
+    engine = Solver
+
+
+class TestPropagatorsReference(TestPropagators):
+    engine = Solver
+
+
+class TestSolverKnobsReference(TestSolverKnobs):
+    engine = Solver

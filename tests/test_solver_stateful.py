@@ -1,4 +1,4 @@
-"""Stateful (model-based) testing of the incremental solver.
+"""Stateful (model-based) testing of the incremental CDCL engines.
 
 Hypothesis drives random interleavings of the operations the DSE loop
 performs — adding clauses, solving with/without assumptions, resetting —
@@ -8,6 +8,9 @@ answers by brute force.  Invariants:
 * satisfiability always matches the reference,
 * returned models always satisfy every added clause,
 * once UNSAT without assumptions, the solver stays UNSAT.
+
+``TestSolverMachine`` drives the flat engine and
+``TestReferenceSolverMachine`` the reference solver it is held to.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.asp.flatsolver import FlatSolver
 from repro.asp.solver import Solver
 
 N_VARS = 5
@@ -31,9 +35,11 @@ def reference_satisfiable(clauses, assumptions=()):
 
 
 class SolverMachine(RuleBasedStateMachine):
+    engine = FlatSolver
+
     def __init__(self):
         super().__init__()
-        self.solver = Solver()
+        self.solver = self.engine()
         for _ in range(N_VARS):
             self.solver.new_var()
         self.clauses = []
@@ -103,7 +109,12 @@ class SolverMachine(RuleBasedStateMachine):
             assert not reference_satisfiable(self.clauses)
 
 
+class ReferenceSolverMachine(SolverMachine):
+    engine = Solver
+
+
 TestSolverMachine = SolverMachine.TestCase
-TestSolverMachine.settings = settings(
+TestReferenceSolverMachine = ReferenceSolverMachine.TestCase
+TestSolverMachine.settings = TestReferenceSolverMachine.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )

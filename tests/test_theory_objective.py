@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asp import Control
-from repro.asp.solver import Solver
+from repro.asp.flatsolver import FlatSolver
 from repro.asp.syntax import Function
 from repro.theory.linear import LinearPropagator
 from repro.theory.objective import IntVarObjective, PseudoBooleanObjective
@@ -11,7 +11,7 @@ from repro.theory.objective import IntVarObjective, PseudoBooleanObjective
 
 class TestPseudoBoolean:
     def setup_method(self):
-        self.solver = Solver()
+        self.solver = FlatSolver()
         self.a = self.solver.new_var()
         self.b = self.solver.new_var()
 
@@ -67,7 +67,7 @@ class TestIntVar:
         lp = LinearPropagator()
         objective = IntVarObjective("lat", lp, Function("nope"))
         with pytest.raises(KeyError):
-            objective.lower_bound(Solver())
+            objective.lower_bound(FlatSolver())
 
     def test_no_watch_literals(self):
         lp = LinearPropagator()

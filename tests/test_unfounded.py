@@ -2,6 +2,7 @@
 
 from repro.asp import Control
 from repro.asp.completion import translate
+from repro.asp.flatsolver import FlatSolver
 from repro.asp.ground import GroundProgram
 from repro.asp.grounder import Grounder
 from repro.asp.parser import parse_program
@@ -13,7 +14,7 @@ def build(text):
     grounder = Grounder(parse_program(text))
     rules = grounder.ground()
     program = GroundProgram(rules, grounder.possible_atoms, grounder.fact_atoms)
-    translation = translate(program)
+    translation = translate(program, FlatSolver())
     return program, translation
 
 
