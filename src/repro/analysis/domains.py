@@ -21,14 +21,13 @@ recovers precision lost to widening whenever the narrowed state is
 still a post-fixpoint.
 
 The soundness contract — every atom the grounder can derive lies in
-the inferred domains — is what makes the two consumers safe:
-
-* the **linter** turns empty meets into ``type-conflict`` /
-  ``empty-domain`` / ``comparison-out-of-range`` /
-  ``constraint-vacuous`` diagnostics and sharpens the
-  ``grounding-blowup`` estimate (see ``docs/DOMAINS.md``);
-* **serve admission** (:func:`repro.serve.admission.estimate_work`)
-  orders its queue by the domain-aware relation-size estimates.
+the inferred domains — is what makes the one production consumer, the
+**linter**, safe: it turns empty meets into ``type-conflict`` /
+``empty-domain`` / ``comparison-out-of-range`` /
+``constraint-vacuous`` diagnostics and sharpens the
+``grounding-blowup`` estimate (see ``docs/DOMAINS.md``).  Serve
+admission no longer uses the analysis: its queue order is the
+binding-space size alone, which ranks real solve times better.
 
 The contract is enforced by ``tests/test_domains.py`` and the
 ``domain-soundness`` fuzz oracle (``repro.fuzz.oracles``).

@@ -19,10 +19,12 @@ functionally determined and need no blocking).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.asp import ast
 from repro.asp.completion import Translation, translate
 from repro.asp.flatsolver import FlatSolver, SolverStatistics
 from repro.asp.ground import GroundProgram
@@ -43,57 +45,117 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Shared ground-program cache
+# Shared ground-program cache and parsed-part memo
 # ---------------------------------------------------------------------------
 
 #: Maximum number of ground programs retained, keyed on program text.
 GROUND_CACHE_SIZE = 16
+#: Maximum number of parsed program parts retained, keyed on part text.
+PARSE_CACHE_SIZE = 32
 
+#: Guards lookups and inserts of both caches (serve grounds on several
+#: executor threads); parsing and grounding run outside it.
+_cache_lock = threading.Lock()
 _ground_cache: "OrderedDict[Tuple[str, str], GroundProgram]" = OrderedDict()
 _ground_cache_hits = 0
 _ground_cache_misses = 0
+_parse_cache: "OrderedDict[str, ast.Program]" = OrderedDict()
 
 
 def clear_ground_cache() -> None:
-    """Drop all cached ground programs (tests; memory pressure)."""
+    """Drop all cached ground programs and parsed parts (tests; memory)."""
     global _ground_cache_hits, _ground_cache_misses
-    _ground_cache.clear()
-    _ground_cache_hits = 0
-    _ground_cache_misses = 0
+    with _cache_lock:
+        _ground_cache.clear()
+        _parse_cache.clear()
+        _ground_cache_hits = 0
+        _ground_cache_misses = 0
 
 
 def ground_cache_info() -> Dict[str, int]:
     """Hit/miss/size counters of the shared ground-program cache."""
-    return {
-        "hits": _ground_cache_hits,
-        "misses": _ground_cache_misses,
-        "size": len(_ground_cache),
-        "maxsize": GROUND_CACHE_SIZE,
-    }
+    with _cache_lock:
+        return {
+            "hits": _ground_cache_hits,
+            "misses": _ground_cache_misses,
+            "size": len(_ground_cache),
+            "maxsize": GROUND_CACHE_SIZE,
+        }
 
 
-def _ground_text_cached(
-    text: str, cache: bool, mode: str
+def _lru_put(cache: OrderedDict, key, value, maxsize: int) -> None:
+    with _cache_lock:
+        cache[key] = value
+        while len(cache) > maxsize:
+            cache.popitem(last=False)
+
+
+def _parse_part(text: str, cache: bool) -> ast.Program:
+    """Parse one ``Control.add`` part, through the per-process memo.
+
+    Every request encodes the same template blocks over new instance
+    facts, so a part's text recurs across programs; the memo parses it
+    once.  Cached programs are never mutated (AST nodes are frozen and
+    :func:`_parse_parts` copies the containers).
+    """
+    if cache:
+        with _cache_lock:
+            parsed = _parse_cache.get(text)
+            if parsed is not None:
+                _parse_cache.move_to_end(text)
+                return parsed
+    parsed = parse_program(text)
+    if cache:
+        _lru_put(_parse_cache, text, parsed, PARSE_CACHE_SIZE)
+    return parsed
+
+
+def _parse_parts(parts: Sequence[str], cache: bool) -> ast.Program:
+    """One program equal to a parse of the joined ``parts``, built part-wise.
+
+    Rules and ``#const`` definitions keep their order; ``#show`` and
+    ``#external`` signatures are unioned (``shows`` stays None when no
+    part has a ``#show``).  Locations are relative to each part, as
+    clingo reports them per block.
+    """
+    merged = ast.Program()
+    for part in parts:
+        parsed = _parse_part(part, cache)
+        merged.rules.extend(parsed.rules)
+        merged.constants.update(parsed.constants)
+        if parsed.shows is not None:
+            if merged.shows is None:
+                merged.shows = set()
+            merged.shows |= parsed.shows
+        merged.externals |= parsed.externals
+    return merged
+
+
+def _ground_parts_cached(
+    parts: Sequence[str], cache: bool, mode: str
 ) -> Tuple[GroundProgram, bool]:
-    """Ground ``text`` into a :class:`GroundProgram`; returns (program, hit).
+    """Ground the program ``parts``; returns (program, hit).
 
-    The LRU is keyed on the grounding mode and the exact program text,
-    so repeated ``explore()``/``Control`` runs over the same instance —
-    benchmark repetitions, parallel workers on one machine, test
-    fixtures — instantiate it once.  Sharing is safe because nothing
-    downstream mutates a :class:`GroundProgram` (the translator only
-    reads it; the dependency-graph cache is idempotent).
+    The LRU is keyed on the grounding mode and the exact program text
+    (the parts joined by newlines), so repeated ``explore()``/``Control``
+    runs over the same instance — benchmark repetitions, parallel
+    workers on one machine, test fixtures — instantiate it once.
+    Sharing is safe because nothing downstream mutates a
+    :class:`GroundProgram` (the translator only reads it; the
+    dependency-graph cache is idempotent).  ``cache=False`` bypasses
+    both the LRU and the parsed-part memo.
     """
     global _ground_cache_hits, _ground_cache_misses
-    key = (mode, text)
+    key = (mode, "\n".join(parts))
     if cache:
-        program = _ground_cache.get(key)
-        if program is not None:
-            _ground_cache.move_to_end(key)
-            _ground_cache_hits += 1
-            return program, True
-        _ground_cache_misses += 1
-    parsed = parse_program(text)
+        with _cache_lock:
+            program = _ground_cache.get(key)
+            if program is not None:
+                _ground_cache.move_to_end(key)
+                _ground_cache_hits += 1
+                return program, True
+            _ground_cache_misses += 1
+    parsed = _parse_parts(parts, cache)
     grounder = Grounder(parsed, mode=mode)
     rules = grounder.ground()
     program = GroundProgram(
@@ -105,9 +167,7 @@ def _ground_text_cached(
         grounding=grounder.statistics,
     )
     if cache:
-        _ground_cache[key] = program
-        while len(_ground_cache) > GROUND_CACHE_SIZE:
-            _ground_cache.popitem(last=False)
+        _lru_put(_ground_cache, key, program, GROUND_CACHE_SIZE)
     return program, False
 
 
@@ -120,7 +180,7 @@ def ground_text(
     and can be passed to :meth:`Control.ground` — or shipped to another
     process — to skip instantiation entirely.
     """
-    program, _hit = _ground_text_cached(text, cache, mode)
+    program, _hit = _ground_parts_cached((text,), cache, mode)
     return program
 
 
@@ -210,7 +270,12 @@ class Control:
     # -- program construction ---------------------------------------------------
 
     def add(self, text: str) -> None:
-        """Append program text (callable multiple times before ground())."""
+        """Append a program part (callable multiple times before ground()).
+
+        Each part must hold whole statements: it is parsed on its own, as
+        clingo parses each added block, and parse-error and
+        unsafe-variable locations are relative to it.
+        """
         if self._translation is not None:
             raise RuntimeError("cannot add program text after ground()")
         self._parts.append(text)
@@ -229,8 +294,10 @@ class Control:
     ) -> None:
         """Instantiate and translate the program.
 
-        By default the accumulated text is parsed and ground through the
-        shared :func:`ground_text` LRU (``cache=False`` opts out).
+        By default the added parts are parsed through the shared
+        parsed-part memo and ground through the shared ground-program
+        LRU, keyed on the parts' joined text (``cache=False`` opts out of
+        both).
         Passing a pre-ground ``program`` — e.g. an artifact shipped from
         another process — skips parsing and instantiation entirely and
         takes its ``#show``/``#external`` declarations from the artifact;
@@ -278,10 +345,9 @@ class Control:
         artifact; a coordinator that ships the program to workers stops
         here.
         """
-        text = "\n".join(self._parts)
         if lint:
-            self._lint(text, lint)
-        program, hit = _ground_text_cached(text, cache, mode)
+            self._lint("\n".join(self._parts), lint)
+        program, hit = _ground_parts_cached(self._parts, cache, mode)
         self.ground_cache_hit = hit
         if not hit:
             self.grounds += 1

@@ -678,6 +678,12 @@ class Grounder:
       differential-testing reference.
     """
 
+    #: Safety cap on rule instantiations per :meth:`ground` run: a
+    #: recursion that derives ever larger terms (``r(X+1) :- r(Y), X =
+    #: Y.``) has no finite fixpoint and would otherwise never return.
+    #: The curated encodings need at most ~4k.
+    MAX_INSTANTIATIONS = 1_000_000
+
     def __init__(self, program: ast.Program, mode: str = "seminaive"):
         if mode not in ("seminaive", "naive"):
             raise ValueError(f"unknown grounding mode {mode!r}")
@@ -1265,6 +1271,12 @@ class Grounder:
     ) -> bool:
         """Instantiate non-positive body parts and the head; emit the rule."""
         self.statistics.instantiations += 1
+        if self.statistics.instantiations > self.MAX_INSTANTIATIONS:
+            raise GroundingError(
+                f"grounding exceeded {self.MAX_INSTANTIATIONS} rule "
+                "instantiations; a recursive rule may derive ever larger "
+                "terms"
+            )
         body: List[GroundLiteral] = []
         # Keep matched positive literals that are not (closed) facts
         # (binder equalities are fully resolved by the join).

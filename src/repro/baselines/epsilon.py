@@ -44,7 +44,8 @@ class BranchAndBoundMinimizer:
         self.control.conflict_limit = conflict_limit
         self.linear = LinearPropagator()
         self.bound = ObjectiveBoundPropagator(instance.objectives, self.linear)
-        self.control.add(instance.program)
+        for part in instance.parts:
+            self.control.add(part)
         self.control.register_propagator(self.linear)
         self.control.register_propagator(self.bound)
         self.control.ground()

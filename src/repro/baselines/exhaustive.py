@@ -41,7 +41,8 @@ def exhaustive_front(
     control = Control()
     control.conflict_limit = conflict_limit
     linear = LinearPropagator()
-    control.add(instance.program)
+    for part in instance.parts:
+        control.add(part)
     control.register_propagator(linear)
     control.ground()
 

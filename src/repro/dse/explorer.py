@@ -505,7 +505,7 @@ class ExactParetoExplorer:
         front is exact *for the pinned subspace*.
 
         ``ground_program`` accepts a pre-ground
-        :class:`~repro.asp.ground.GroundProgram` of ``instance.program``
+        :class:`~repro.asp.ground.GroundProgram` of ``instance.parts``
         (the parallel explorer grounds once and ships the artifact to
         every worker); ``ground_cache=False`` bypasses the shared
         ground-program LRU.
@@ -532,7 +532,8 @@ class ExactParetoExplorer:
         )
         self.control = Control()
         self.control.conflict_limit = chunk_conflicts
-        self.control.add(instance.program)
+        for part in instance.parts:
+            self.control.add(part)
         self.control.register_propagator(self.linear)
         if use_difference_logic:
             self.control.register_propagator(DifferenceLogicPropagator())

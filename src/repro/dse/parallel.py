@@ -360,7 +360,8 @@ class ParallelParetoExplorer:
         # The one grounding step (lint included): the workers reuse the
         # artifact instead of re-instantiating the same program each.
         grounder = Control()
-        grounder.add(self.instance.program)
+        for part in self.instance.parts:
+            grounder.add(part)
         ground = grounder.instantiate(
             cache=options.pop("ground_cache", True),
             lint=options.pop("lint", False),

@@ -8,12 +8,13 @@ front after burning a worker slot, so error-severity findings are
 rejected up front with their diagnostics attached.
 
 Admitted jobs are ordered **shortest-estimated-work-first**: the
-estimate combines the binding-space size (the paper's Table I column)
-with the abstract domain analysis' relation-size bounds
-(:meth:`repro.analysis.domains.DomainAnalysis.signature_estimate`) over
-the actual encoding, so a large platform with tightly constrained
-domains can still jump the queue ahead of a small but unconstrained
-one.  The estimate orders the queue; it carries no exactness weight.
+estimate is the binding-space size (the paper's Table I column) times
+one plus the number of messages.  Over the 150 benchmark pool specs it
+ranks the real exploration times better (Kendall tau 0.689) than a
+refinement by the abstract domain analysis' relation-size bounds did
+(0.478), which also cost a second parse and analysis of every
+program.  The estimate orders the queue; it carries no exactness
+weight.
 """
 
 from __future__ import annotations
@@ -59,38 +60,12 @@ def admit(
     return AdmissionDecision(admitted=not errors, diagnostics=diagnostics)
 
 
-def estimate_work(
-    spec: Specification, program: Optional[str] = None
-) -> float:
-    """Heuristic solve-effort estimate used as the queue priority.
+def estimate_work(spec: Specification) -> int:
+    """Solve-effort estimate used as the queue priority.
 
-    The base is the binding-space size scaled by the communication load
-    (messages route through the platform, so each adds search depth).
-    When the encoded ``program`` text is available, the abstract domain
-    analysis refines it with the summed relation-size bounds of the
-    encoding's derived predicates — a measure of how much grounding and
-    propagation the instance actually generates.  Unbounded signatures
-    fall back to the base term so the estimate is always finite.
+    The binding-space size scaled by the communication load (messages
+    route through the platform, so each adds search depth).  The exact
+    integer: the product passes the float range on large specs, and the
+    estimate only orders the queue, so nothing needs it as a float.
     """
-    base = float(spec.binding_space_size())
-    base *= 1.0 + len(spec.application.messages)
-    if program is None:
-        return base
-    try:
-        from repro.analysis.domains import analyze_program
-        from repro.asp.parser import parse_program
-
-        analysis = analyze_program(parse_program(program))
-        refined = 0.0
-        for signature in analysis.domains:
-            estimate = analysis.signature_estimate(signature)
-            if estimate is None:
-                return base
-            refined += estimate
-        if refined > 0.0:
-            return base + refined
-    except Exception:
-        # The estimate is advisory; an analysis hiccup must never turn
-        # into a rejected or mis-ordered request beyond FIFO fallback.
-        pass
-    return base
+    return spec.binding_space_size() * (1 + len(spec.application.messages))

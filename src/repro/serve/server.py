@@ -3,8 +3,9 @@
 One :class:`DseServer` owns a TCP listener speaking the JSON-lines
 protocol (with an HTTP facade for probes), a bounded LRU result cache
 keyed by canonical spec digests, an admission gate, a priority solve
-queue (shortest estimated work first) and a pool of solve workers that
-run the exact explorers in a thread executor.  See ``docs/SERVING.md``
+queue (shortest estimated work first: binding-space size times one plus
+the message count) and a pool of solve workers that run the exact
+explorers in a thread executor.  See ``docs/SERVING.md``
 for the protocol walkthrough and the cache/exactness guarantees.
 
 Life of a request::
@@ -13,6 +14,7 @@ Life of a request::
          -> cache hit?      -> remap witnesses -> result
          -> in flight?      -> attach subscriber (coalesce)
          -> else            -> encode + estimate -> priority queue
+                               (binding space x (1 + messages))
     worker: dequeue -> solve (thread) -> snapshots stream back
          -> exact?  cache (canonical namespace) + result to subscribers
          -> else    cancelled/timeout event (never cached)
@@ -113,7 +115,8 @@ class _Job:
     cancel_event: ThreadEvent = field(default_factory=ThreadEvent)
     finished: asyncio.Event = field(default_factory=asyncio.Event)
     instance: object = None
-    estimate: float = 0.0
+    #: Queue priority (:func:`repro.serve.admission.estimate_work`).
+    estimate: int = 0
     timed_out: bool = False
     budget_exhausted: bool = False
     cancel_reason: str = "cancelled"
@@ -490,7 +493,7 @@ class DseServer:
         from repro.synthesis.encoding import encode
 
         instance = encode(job.spec, objectives=job.objectives, **job.options)
-        return instance, estimate_work(job.spec, instance.program)
+        return instance, estimate_work(job.spec)
 
     def _handle_cancel(
         self,

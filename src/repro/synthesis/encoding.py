@@ -84,10 +84,16 @@ class ObjectiveSpec:
 
 @dataclass
 class EncodedInstance:
-    """The encoding of one specification."""
+    """The encoding of one specification.
+
+    ``parts`` holds the program as :meth:`repro.asp.control.Control.add`
+    blocks: the instance facts, then each template block on its own, so
+    the template blocks' text recurs across specifications and
+    ``Control`` parses each of them once per process.
+    """
 
     specification: Specification
-    program: str
+    parts: Tuple[str, ...]
     objectives: Tuple[ObjectiveSpec, ...]
     horizon: int
     serialize: bool = False
@@ -95,6 +101,11 @@ class EncodedInstance:
     #: What ``encode(symmetry=...)`` did (a
     #: :class:`repro.analysis.symmetry.SymmetryInfo`); None when off.
     symmetry: Optional[object] = None
+
+    @property
+    def program(self) -> str:
+        """The whole program text (the parts joined by newlines)."""
+        return "\n".join(self.parts)
 
     def objective(self, name: str) -> ObjectiveSpec:
         for spec in self.objectives:
@@ -346,11 +357,11 @@ def encode(
                 "; ".join(f"[{f.rule}] {f.message}" for f in errors)
             )
     h = horizon if horizon is not None else spec.horizon()
-    parts = ["#const h = {}.".format(h)]
-    parts.extend(_facts(spec))
-    parts.append(_BINDING_RULES)
+    facts = ["#const h = {}.".format(h)]
+    facts.extend(_facts(spec))
+    parts = ["\n".join(facts), _BINDING_RULES]
     if routing == "fixed":
-        parts.extend(_fixed_route_facts(spec))
+        parts.append("\n".join(_fixed_route_facts(spec)))
         parts.append(_FIXED_ROUTING_RULES)
     else:
         parts.append(_FREE_ROUTING_RULES)
@@ -378,7 +389,7 @@ def encode(
         symmetry_info = _apply_symmetry(spec, routing, parts)
     return EncodedInstance(
         specification=spec,
-        program="\n".join(parts),
+        parts=tuple(parts),
         objectives=_objective_specs(spec, objectives),
         horizon=h,
         serialize=serialize,
@@ -409,8 +420,7 @@ def _apply_symmetry(spec: Specification, routing: str, parts: List[str]):
     if declined is None:
         text, constraints = lex_leader_program(spec, platform)
         if constraints:
-            parts.append("% --- lex-leader symmetry breaking ---")
-            parts.append(text)
+            parts.append("% --- lex-leader symmetry breaking ---\n" + text)
             applied = True
         else:
             declined = "no generator constrains any binding"

@@ -152,9 +152,16 @@ _rule = st.builds(
 )
 
 
+#: Instantiation cap for random programs: their terminating draws need a
+#: few hundred instantiations, and a runaway recursion then ends as a
+#: GroundingError in both modes within about a second.
+_RANDOM_CAP = 20_000
+
+
 def _try_ground(program: str, mode: str):
     """Ground outcome for differential comparison (None = rejected)."""
     grounder = Grounder(parse_program(program), mode=mode)
+    grounder.MAX_INSTANTIATIONS = _RANDOM_CAP
     try:
         rules = grounder.ground()
     except GroundingError:
@@ -174,6 +181,31 @@ class TestDifferentialRandom:
         # must ground to the same rule set and atom universe.
         program = "\n".join(facts + rules)
         assert _try_ground(program, "naive") == _try_ground(program, "seminaive")
+
+
+class TestInstantiationCap:
+    RUNAWAY = "p(1). r(X+1) :- r(Y), X = Y. r(X) :- X = 0."
+
+    @pytest.mark.parametrize("mode", ["naive", "seminaive"])
+    def test_runaway_recursion_raises(self, mode, monkeypatch):
+        monkeypatch.setattr(Grounder, "MAX_INSTANTIATIONS", _RANDOM_CAP)
+        grounder = Grounder(parse_program(self.RUNAWAY), mode=mode)
+        with pytest.raises(GroundingError, match="exceeded 20000 rule instantiations"):
+            grounder.ground()
+        assert grounder.statistics.instantiations == _RANDOM_CAP + 1
+
+    def test_default_cap_leaves_headroom_over_the_curated_encodings(self):
+        # The largest curated count: naive mode, both optional encodings.
+        grounder = Grounder(
+            parse_program(
+                encode(
+                    curated("network_firewall"), serialize=True, link_contention=True
+                ).program
+            ),
+            mode="naive",
+        )
+        grounder.ground()
+        assert grounder.statistics.instantiations * 250 < Grounder.MAX_INSTANTIATIONS
 
 
 class TestArgumentIndex:

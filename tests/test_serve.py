@@ -447,6 +447,25 @@ def test_priority_queue_orders_by_estimated_work(monkeypatch):
     assert estimate_work(single_task_spec()) < estimate_work(tradeoff_spec())
 
 
+def test_estimate_is_exact_past_the_float_range():
+    """600 tasks x 4 options: 4**600 ~ 1e361 overflows a float."""
+    tasks = tuple(Task(f"t{index}") for index in range(600))
+    resources = tuple(Resource(f"r{index}", cost=index + 1) for index in range(4))
+    mappings = tuple(
+        MappingOption(task.name, resource.name, wcet=1, energy=1)
+        for task in tasks
+        for resource in resources
+    )
+    huge = Specification(
+        Application(tasks=tasks, messages=()),
+        Architecture(resources=resources, links=()),
+        mappings,
+    )
+    estimate = estimate_work(huge)
+    assert estimate == 4**600
+    assert estimate_work(tradeoff_spec()) < estimate
+
+
 # ---------------------------------------------------------------------------
 # Timeouts, cancellation, shutdown
 # ---------------------------------------------------------------------------
