@@ -2,15 +2,12 @@
 
 Runs a fixed seeded budget through the full oracle matrix and records
 per-oracle throughput (inputs checked per second, skips excluded from
-neither count — a skip still costs generation and dispatch) into
-``BENCH_fuzz.json`` next to the repository root.  Shape claims: the run
-is green (the fuzzer finds nothing on main), every oracle sees inputs,
-and no oracle is pathologically slow — the matrix must stay cheap
-enough for the PR-time smoke budget to finish in seconds.
+neither count — a skip still costs generation and dispatch) in
+``extra_info`` for ``--benchmark-json``.  Shape claims: the run is
+green (the fuzzer finds nothing on main), every oracle sees inputs, and
+no oracle is pathologically slow — the matrix must stay cheap enough
+for the PR-time smoke budget to finish in seconds.
 """
-
-import json
-from pathlib import Path
 
 from repro.fuzz import FuzzHarness
 from repro.fuzz.oracles import ORACLES
@@ -18,7 +15,6 @@ from repro.fuzz.oracles import ORACLES
 BUDGET = 150
 BASE_SEED = 0
 MIN_INPUTS_PER_SECOND = 5.0
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_fuzz.json"
 
 
 def run_fuzz_sweep():
@@ -43,14 +39,6 @@ def test_fuzz_throughput(benchmark):
     report, rows = benchmark.pedantic(run_fuzz_sweep, rounds=1, iterations=1)
     assert report.ok, [finding.to_dict() for finding in report.findings]
     assert {row["oracle"] for row in rows} == set(ORACLES)
-
-    payload = {
-        "budget": BUDGET,
-        "base_seed": BASE_SEED,
-        "wall_seconds": round(report.wall_time, 6),
-        "oracles": rows,
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
 
     for row in rows:
         assert row["inputs"] > 0, f"{row['oracle']}: oracle never exercised"

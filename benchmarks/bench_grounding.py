@@ -6,13 +6,10 @@ in both modes; the per-mode wall time is the best of ``REPEATS`` runs
 Shape claims: the ground rule sets are bit-identical in every mode, and
 on the largest curated instance (network_firewall) the semi-naive
 grounder with argument-indexed joins is at least 2x faster than the
-naive fixpoint.  The per-instance numbers are written to
-``BENCH_grounding.json`` next to the repository root and ride along in
-``extra_info`` for ``--benchmark-json``.
+naive fixpoint.  The per-instance numbers ride along in ``extra_info``
+for ``--benchmark-json``.
 """
 
-import json
-from pathlib import Path
 from time import perf_counter
 
 from repro.asp.grounder import Grounder
@@ -22,7 +19,6 @@ from repro.workloads.curated import CURATED_NAMES, curated
 
 REPEATS = 3
 LARGEST = "network_firewall"
-OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_grounding.json"
 
 
 def _time_mode(text: str, mode: str):
@@ -67,7 +63,6 @@ def run_grounding_comparison():
 def test_grounding_speedup(benchmark):
     rows = benchmark.pedantic(run_grounding_comparison, rounds=1, iterations=1)
     assert {row["instance"] for row in rows} == set(CURATED_NAMES)
-    OUTPUT.write_text(json.dumps(rows, indent=2) + "\n")
 
     largest = next(row for row in rows if row["instance"] == LARGEST)
     assert largest["speedup"] >= 2.0, (

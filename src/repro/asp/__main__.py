@@ -9,9 +9,12 @@ Usage::
     python -m repro.asp lint program.lp --format=json   # static analysis
 
 Prints models clingo-style (``Answer: k`` lines) and a final
-SATISFIABLE / UNSATISFIABLE / OPTIMUM FOUND verdict.  The ``lint``
-subcommand runs the static analyzer instead (see ``docs/LINT.md``) and
-exits non-zero on error-severity diagnostics.
+SATISFIABLE / UNSATISFIABLE / OPTIMUM FOUND verdict; exits 0 when
+satisfiable, 1 when not.  A program that does not parse or ground
+prints one error line to stderr (``file:line:column: message`` for a
+parse error) and exits 2.  The ``lint`` subcommand runs the static
+analyzer instead (see ``docs/LINT.md``) and exits non-zero on
+error-severity diagnostics.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import sys
 from typing import List, Optional
 
 from repro.asp.control import Control
+from repro.asp.grounder import GroundingError
+from repro.asp.parser import ParseError
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -76,21 +81,35 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     control = Control()
     control.conflict_limit = args.budget
+    # One source name per Control part, for locating parse errors.
+    sources = []
     for path in args.files:
         text = sys.stdin.read() if path == "-" else open(path).read()
         control.add(text)
+        sources.append("<stdin>" if path == "-" else path)
     # Overrides come last: for duplicate #const names the last wins.
     for override in args.const:
         name, _, value = override.partition("=")
         if not name or not value:
             parser.error(f"malformed --const {override!r}")
         control.add(f"#const {name} = {value}.")
+        sources.append(f"--const {override}")
     if args.theory:
         from repro.theory import DifferenceLogicPropagator, LinearPropagator
 
         control.register_propagator(LinearPropagator())
         control.register_propagator(DifferenceLogicPropagator())
-    control.ground(lint=args.lint)
+    try:
+        control.ground(lint=args.lint)
+    except ParseError as error:
+        print(
+            f"{sources[error.part]}:{error.line}:{error.column}: {error.message}",
+            file=sys.stderr,
+        )
+        return 2
+    except GroundingError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     if args.opt:
         result = control.optimize(strategy=args.opt_strategy)

@@ -29,7 +29,7 @@ from repro.asp.completion import Translation, translate
 from repro.asp.flatsolver import FlatSolver, SolverStatistics
 from repro.asp.ground import GroundProgram
 from repro.asp.grounder import Grounder
-from repro.asp.parser import parse_program
+from repro.asp.parser import ParseError, parse_program
 from repro.asp.propagator import PropagatorInit, TheoryPropagator
 from repro.asp.syntax import Function, Number
 from repro.asp.unfounded import UnfoundedSetPropagator
@@ -116,11 +116,15 @@ def _parse_parts(parts: Sequence[str], cache: bool) -> ast.Program:
     Rules and ``#const`` definitions keep their order; ``#show`` and
     ``#external`` signatures are unioned (``shows`` stays None when no
     part has a ``#show``).  Locations are relative to each part, as
-    clingo reports them per block.
+    clingo reports them per block; a :class:`ParseError` names its part.
     """
     merged = ast.Program()
-    for part in parts:
-        parsed = _parse_part(part, cache)
+    for index, part in enumerate(parts):
+        try:
+            parsed = _parse_part(part, cache)
+        except ParseError as error:
+            error.part = index
+            raise
         merged.rules.extend(parsed.rules)
         merged.constants.update(parsed.constants)
         if parsed.shows is not None:

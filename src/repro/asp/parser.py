@@ -37,6 +37,8 @@ class ParseError(Exception):
     Every instance carries ``line``, ``column`` (1-based) and ``token`` —
     the offending source text (``""`` at end of input) — so callers such
     as the linter can turn parse failures into located diagnostics.
+    ``part`` is the index of the :meth:`repro.asp.control.Control.add`
+    part the location is relative to (None outside ``Control``).
     """
 
     def __init__(self, message: str, line: int, column: int, token: str = ""):
@@ -45,6 +47,7 @@ class ParseError(Exception):
         self.line = line
         self.column = column
         self.token = token
+        self.part: Optional[int] = None
 
 
 _TOKEN_RE = re.compile(

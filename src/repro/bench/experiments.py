@@ -630,9 +630,9 @@ def fig10_parallel(
     headline is the ablation at equal worker count: ``share_x`` (archive
     sharing turns the workers' pruning archives into one cooperative
     bound, cutting models, conflicts, and wall time).  The front is
-    identical to the sequential explorer in every configuration (each
-    row carries it for the benchmark's shape checks); ``conflict_limit``
-    is per worker.
+    identical to the sequential explorer in every configuration
+    (``tests/test_parallel.py::TestArchiveSharing`` checks it and pins
+    the inline work counts); ``conflict_limit`` is per worker.
     """
     from repro.dse.parallel import ParallelParetoExplorer
     from repro.workloads.curated import curated
@@ -670,8 +670,6 @@ def fig10_parallel(
                 "time_s": stats.wall_time,
                 "share_x": "-",
                 "exact": not stats.interrupted,
-                "front": reference.vectors(),
-                "per_worker": [],
             }
         )
         for jobs in (j for j in jobs_list if j > 1):
@@ -705,8 +703,6 @@ def fig10_parallel(
                             else "-"
                         ),
                         "exact": not pstats.interrupted,
-                        "front": result.vectors(),
-                        "per_worker": pstats.per_worker,
                     }
                 )
     return columns, rows

@@ -207,11 +207,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         **chunk,
     ).run()
     stats = result.statistics
-    if lint_report is not None:
-        stats.lint_seconds = lint_report.seconds
-        stats.lint_errors = lint_report.errors
-        stats.lint_warnings = lint_report.warnings
-        stats.lint_infos = lint_report.infos
 
     rows = []
     for point in result.front:
@@ -254,8 +249,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"symmetry: declined ({info.declined})")
     if lint_report is not None:
         print(
-            f"lint: {stats.lint_errors} error(s), {stats.lint_warnings} "
-            f"warning(s), {stats.lint_infos} info(s), {stats.lint_seconds:.3f}s"
+            f"lint: {lint_report.errors} error(s), {lint_report.warnings} "
+            f"warning(s), {lint_report.infos} info(s), "
+            f"{lint_report.seconds:.3f}s"
         )
     if len(stats.per_worker) > 1:
         print(

@@ -320,12 +320,6 @@ class DseStatistics:
     #: Foreign points skipped by the injection hash-dedup (points the
     #: local archive had already seen; skipping avoids re-scanning).
     archive_dedup_skips: int = 0
-    #: Wall seconds spent in the static linter (0 when linting was off).
-    lint_seconds: float = 0.0
-    #: Diagnostic counts of the lint run (all zero when linting was off).
-    lint_errors: int = 0
-    lint_warnings: int = 0
-    lint_infos: int = 0
     #: Symmetry analysis summary of the instance ("" when encode() ran
     #: with symmetry="off"; otherwise "auto").
     symmetry_mode: str = ""
@@ -482,8 +476,6 @@ class ExactParetoExplorer:
         objective_phases: bool = False,
         fixed_bindings: Optional[Dict[str, str]] = None,
         ground_program=None,
-        ground_cache: bool = True,
-        lint: object = False,
         chunk_conflicts: Optional[int] = None,
     ):
         """Configure the explorer.
@@ -507,14 +499,7 @@ class ExactParetoExplorer:
         ``ground_program`` accepts a pre-ground
         :class:`~repro.asp.ground.GroundProgram` of ``instance.parts``
         (the parallel explorer grounds once and ships the artifact to
-        every worker); ``ground_cache=False`` bypasses the shared
-        ground-program LRU.
-
-        ``lint`` is forwarded to :meth:`repro.asp.control.Control.ground`:
-        ``True`` runs the static analyzer over the encoding before
-        grounding (diagnostics surface as Python warnings and in the
-        ``lint_*`` statistics), ``"raise"`` aborts on error-severity
-        findings.
+        every worker).
         """
         self.instance = instance
         self.epsilon = epsilon
@@ -545,16 +530,11 @@ class ExactParetoExplorer:
         self._conflict_limit = conflict_limit
         self._chunk_conflicts = chunk_conflicts
         self._ground_artifact = ground_program
-        self._ground_cache = ground_cache
-        self._lint = lint
         self._ground = False
         self.models_enumerated = 0
         self._pending_point: Optional[ParetoPoint] = None
-        # Archive delta plumbing for the parallel workers: every locally
-        # enumerated point is buffered until drained, and every vector
-        # this explorer has ever seen (enumerated or injected) is hashed
-        # so foreign re-offers are skipped in O(1).
-        self._new_points: List[ParetoPoint] = []
+        # Every vector this explorer has ever seen (enumerated or
+        # injected) is hashed so foreign re-offers are skipped in O(1).
         self._known_vectors: set = set()
         self.dedup_skips = 0
         #: Foreign points the archive accepted (see inject_points).
@@ -578,11 +558,7 @@ class ExactParetoExplorer:
         the exploration starts.
         """
         if not self._ground:
-            self.control.ground(
-                program=self._ground_artifact,
-                cache=self._ground_cache,
-                lint=self._lint,
-            )
+            self.control.ground(program=self._ground_artifact)
             if self._objective_phases:
                 self._apply_objective_phases()
             self._ground = True
@@ -625,7 +601,6 @@ class ExactParetoExplorer:
             f"{vector} (archive: {self.dominance.archive.vectors()})"
         )
         self._pending_point = ParetoPoint(vector, implementation)
-        self._new_points.append(self._pending_point)
         self._known_vectors.add(vector)
         self.control.solver.requeue_watch(
             self.control.translation.true_lit, self.dominance
@@ -691,17 +666,6 @@ class ExactParetoExplorer:
             )
         self.injected += accepted
         return accepted
-
-    def drain_new_points(self) -> List[ParetoPoint]:
-        """Locally enumerated points since the last drain (delta batch).
-
-        The parallel workers publish these as an :class:`ArchiveDelta`
-        instead of re-offering their whole archive; injected foreign
-        points never enter the buffer, so deltas cannot echo.
-        """
-        drained = self._new_points
-        self._new_points = []
-        return drained
 
     def local_front(self) -> List[Tuple[Tuple[int, ...], object]]:
         """Archive restricted to locally enumerated survivors, sorted.
@@ -983,10 +947,10 @@ def merge_run(
 
     ``reports`` holds one ``(local front, per_worker entry)`` pair per
     worker, in worker order.  The front is the non-dominated union of
-    the local fronts.  Instance-level statistics (symmetry, grounding,
-    lint) are filled once, from the instance and
-    from ``grounder``, the :class:`Control` that ground the program;
-    worker statistics are the sums of the ``per_worker`` entries.
+    the local fronts.  Instance-level statistics (symmetry, grounding)
+    are filled once, from the instance and from ``grounder``, the
+    :class:`Control` that ground the program; worker statistics are the
+    sums of the ``per_worker`` entries.
     """
     merged = non_dominated_union(*(front for front, _entry in reports))
     stats = DseStatistics(
@@ -997,15 +961,10 @@ def merge_run(
         steals=sum(scheduler.steals),
         resplits=scheduler.resplits,
     )
-    summaries = (
-        ("symmetry", getattr(instance, "symmetry", None), _SYMMETRY_FIELDS),
-        ("lint", grounder.lint_report, ("errors", "warnings", "infos")),
-    )
-    for prefix, summary, names in summaries:
-        if summary is not None:
-            for name in names:
-                setattr(stats, f"{prefix}_{name}", getattr(summary, name))
-    stats.lint_seconds = grounder.lint_seconds
+    symmetry = getattr(instance, "symmetry", None)
+    if symmetry is not None:
+        for name in _SYMMETRY_FIELDS:
+            setattr(stats, f"symmetry_{name}", getattr(symmetry, name))
     stats.grounds = grounder.grounds
     stats.ground_cache_hit = grounder.ground_cache_hit
     stats.grounding_seconds = grounder.grounding_seconds

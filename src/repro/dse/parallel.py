@@ -357,15 +357,12 @@ class ParallelParetoExplorer:
         scheduler = CubeScheduler(
             cubes, jobs, choices=choices, objectives=self.instance.objectives
         )
-        # The one grounding step (lint included): the workers reuse the
-        # artifact instead of re-instantiating the same program each.
+        # The one grounding step: the workers reuse the artifact instead
+        # of re-instantiating the same program each.
         grounder = Control()
         for part in self.instance.parts:
             grounder.add(part)
-        ground = grounder.instantiate(
-            cache=options.pop("ground_cache", True),
-            lint=options.pop("lint", False),
-        )
+        ground = grounder.instantiate()
         if self.backend == "inline":
             workers = [
                 ExactParetoExplorer(self.instance, ground_program=ground, **options)

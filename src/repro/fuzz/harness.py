@@ -4,8 +4,9 @@ One *budget unit* is one generated input (seed = base seed + index)
 run through every active oracle of its kind.  Failures become
 :class:`Finding` records; with shrinking enabled each finding is
 minimised by :mod:`repro.fuzz.shrinker` and persisted as a reproducer
-(:mod:`repro.fuzz.corpus`).  Per-oracle throughput (inputs/sec) is
-tracked for ``BENCH_fuzz.json``.
+(:mod:`repro.fuzz.corpus`).  Per-oracle effort (inputs, skips,
+seconds, inputs/sec) is reported in :class:`OracleStats`;
+``benchmarks/bench_fuzz_throughput.py`` holds its throughput floor.
 """
 
 from __future__ import annotations

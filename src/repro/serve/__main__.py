@@ -14,6 +14,7 @@ import asyncio
 import json
 import sys
 
+from repro.serve.cache import DEFAULT_CACHE_SIZE
 from repro.serve.server import DseServer, ServerConfig
 
 
@@ -37,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="explorer parallelism per solve (1 = sequential exact path)",
     )
-    parser.add_argument("--cache-size", type=int, default=128)
+    parser.add_argument("--cache-size", type=int, default=DEFAULT_CACHE_SIZE)
     parser.add_argument(
         "--timeout",
         type=float,

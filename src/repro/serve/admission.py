@@ -9,12 +9,14 @@ rejected up front with their diagnostics attached.
 
 Admitted jobs are ordered **shortest-estimated-work-first**: the
 estimate is the binding-space size (the paper's Table I column) times
-one plus the number of messages.  Over the 150 benchmark pool specs it
-ranks the real exploration times better (Kendall tau 0.689) than a
-refinement by the abstract domain analysis' relation-size bounds did
-(0.478), which also cost a second parse and analysis of every
-program.  The estimate orders the queue; it carries no exactness
-weight.
+one plus the number of messages.  A refinement by the abstract domain
+analysis' relation-size bounds ranked the exploration times of the 150
+benchmark pool specs better (Kendall tau 0.566 and 0.550 in two runs,
+against 0.484 and 0.402) and shortened the mean completion by
+0.016-0.025 s, but its second parse and analysis of every program cost
+1.06-1.22 s over the 150 specs; charged to the jobs, the mean
+completion rose from 0.374 s to 0.589 s.  The estimate orders the
+queue; it carries no exactness weight.
 """
 
 from __future__ import annotations

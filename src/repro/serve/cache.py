@@ -29,12 +29,11 @@ __all__ = ["DEFAULT_CACHE_SIZE", "CacheStats", "ResultCache", "make_cache_key"]
 
 DEFAULT_CACHE_SIZE = 128
 
-#: Encoding options that are part of the cache key because they change
-#: the design space (and with it the front).  Everything else is an
-#: execution knob and must stay out of the key.
-SEMANTIC_OPTIONS = ("serialize", "routing", "link_contention", "latency_bound")
-
-_OPTION_DEFAULTS = {
+#: The request options, mapped to their :func:`repro.synthesis.encoding.encode`
+#: defaults.  Each changes the design space (and with it the front), so
+#: all of them are part of the cache key; the server rejects any other
+#: option, and execution knobs must stay out of the key.
+SEMANTIC_OPTIONS = {
     "serialize": False,
     "routing": "free",
     "link_contention": False,
@@ -55,8 +54,8 @@ def make_cache_key(
     """
     options = options or {}
     semantics = tuple(
-        (name, options.get(name, _OPTION_DEFAULTS[name]))
-        for name in SEMANTIC_OPTIONS
+        (name, options.get(name, default))
+        for name, default in SEMANTIC_OPTIONS.items()
     )
     return (digest, tuple(objectives), semantics)
 

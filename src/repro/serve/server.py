@@ -40,7 +40,12 @@ from repro.analysis.canonical import (
     remap_front_entry,
 )
 from repro.serve.admission import admit, estimate_work
-from repro.serve.cache import ResultCache, make_cache_key
+from repro.serve.cache import (
+    DEFAULT_CACHE_SIZE,
+    SEMANTIC_OPTIONS,
+    ResultCache,
+    make_cache_key,
+)
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -56,11 +61,6 @@ __all__ = ["ServerConfig", "DseServer", "DEFAULT_OBJECTIVES"]
 
 DEFAULT_OBJECTIVES: Tuple[str, ...] = ("latency", "energy", "cost")
 
-#: Request options forwarded to :func:`repro.synthesis.encoding.encode`.
-#: Anything else in the ``options`` object is rejected, so typos cannot
-#: silently solve a different problem than the client asked for.
-ENCODE_OPTIONS = ("serialize", "routing", "link_contention", "latency_bound")
-
 
 @dataclass
 class ServerConfig:
@@ -73,11 +73,9 @@ class ServerConfig:
     #: Explorer workers per solve: 1 = the sequential exact explorer
     #: (identical vectors vs. a direct ``explore()``, and identical
     #: witnesses too when ``chunk_conflicts`` is None), >1 = parallel
-    #: cube workers (identical vectors).
+    #: cube workers (identical vectors, one process each).
     solve_jobs: int = 1
-    #: Backend for ``solve_jobs > 1``.
-    parallel_backend: str = "process"
-    cache_size: int = 128
+    cache_size: int = DEFAULT_CACHE_SIZE
     #: Wall-clock ceiling per solve (seconds); None = unlimited.  A
     #: request may *lower* it, never raise it.
     default_timeout: Optional[float] = None
@@ -364,7 +362,9 @@ class DseServer:
             return
         objectives = tuple(message.get("objectives") or DEFAULT_OBJECTIVES)
         options = message.get("options") or {}
-        unknown = sorted(set(options) - set(ENCODE_OPTIONS))
+        # The options go to encode(); rejecting anything else keeps a
+        # typo from silently solving a different problem.
+        unknown = sorted(set(options) - set(SEMANTIC_OPTIONS))
         if unknown:
             self.counters["errors"] += 1
             await reply(
@@ -566,7 +566,6 @@ class DseServer:
         result = ParallelParetoExplorer(
             job.instance,
             jobs=self.config.solve_jobs,
-            backend=self.config.parallel_backend,
             chunk_conflicts=self.config.chunk_conflicts,
             conflict_limit=self.config.conflict_budget,
         ).run(on_points=publish, should_stop=should_stop)

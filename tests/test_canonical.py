@@ -145,10 +145,7 @@ def test_canonicalization_is_deterministic(spec):
     assert first.task_map == second.task_map
 
 
-@SETTINGS
-@given(spec=specifications())
-def test_maps_cover_every_entity(spec):
-    canonical = canonicalize_specification(spec)
+def _assert_maps_cover(spec, canonical):
     assert set(canonical.task_map) == {t.name for t in spec.application.tasks}
     assert set(canonical.resource_map) == {
         r.name for r in spec.architecture.resources
@@ -165,6 +162,46 @@ def test_maps_cover_every_entity(spec):
         canonical.link_map,
     ):
         invert_name_map(mapping)
+
+
+@SETTINGS
+@given(spec=specifications())
+def test_maps_cover_every_entity(spec):
+    _assert_maps_cover(spec, canonicalize_specification(spec))
+
+
+def _interchangeable_tasks_spec(cost: int = 2) -> Specification:
+    """Two interchangeable tasks on two identical, linked resources."""
+    return Specification(
+        Application(tasks=(Task("a"), Task("b")), messages=()),
+        Architecture(
+            resources=(Resource("r1", cost=cost), Resource("r2", cost=cost)),
+            links=(Link("l12", "r1", "r2"), Link("l21", "r2", "r1")),
+        ),
+        (
+            MappingOption("a", "r1", wcet=2, energy=1),
+            MappingOption("a", "r2", wcet=2, energy=1),
+            MappingOption("b", "r1", wcet=2, energy=1),
+            MappingOption("b", "r2", wcet=2, energy=1),
+        ),
+    )
+
+
+def test_leaf_budget_fallback_is_deterministic_and_collision_free():
+    """Past ``max_leaves`` ties break by name (``exact=False``), but the
+    certificate still describes the whole spec, so the serve cache keyed
+    on it can miss a twin and never conflate two specs."""
+    spec = _interchangeable_tasks_spec()
+    assert canonicalize_specification(spec).exact
+    capped = canonicalize_specification(spec, max_leaves=1)
+    assert not capped.exact
+    _assert_maps_cover(spec, capped)
+    assert canonicalize_specification(spec, max_leaves=1) == capped
+    changed = canonicalize_specification(
+        _interchangeable_tasks_spec(cost=3), max_leaves=1
+    )
+    assert not changed.exact
+    assert changed.digest != capped.digest
 
 
 @SETTINGS

@@ -79,8 +79,11 @@ class TestHarness:
         assert report.ok, [f.to_dict() for f in report.findings]
         assert report.inputs == 24
         program_stats = report.oracle_stats["grounding"]
-        assert program_stats.inputs > 0
         assert program_stats.seconds > 0
+        # Every oracle checked at least one input it did not skip.
+        assert set(report.oracle_stats) == set(ORACLES)
+        for name, stats in report.oracle_stats.items():
+            assert stats.inputs > stats.skips, name
 
     def test_oracle_selection_restricts_kinds(self):
         report = FuzzHarness(oracles=["front"], base_seed=3).run(2)

@@ -3,8 +3,9 @@
 Covers the golden lint corpus under ``tests/corpus/lint/`` (every
 seeded defect must be flagged with the expected rule id and position),
 the zero-false-positive guarantee over the shipped corpora and
-encodings, suppression comments, the CLI front-ends, the ``Control``
-lint hook, the specification validator, and the statistics plumbing.
+encodings, suppression comments, the CLI front-ends (``python -m
+repro.asp lint`` and ``python -m repro.dse --lint``), the ``Control``
+lint hook, and the specification validator.
 """
 
 import copy
@@ -342,17 +343,53 @@ class TestSpecValidator:
         assert instance.program
 
 
-class TestStatisticsPlumbing:
-    def test_explorer_lint_stats(self):
-        spec = generate_specification(WorkloadConfig(tasks=3, seed=2))
-        instance = encode(spec, objectives=("latency",))
-        from repro.dse.explorer import ExactParetoExplorer
+class TestDseCli:
+    """``python -m repro.dse --lint`` lints before it explores."""
 
-        explorer = ExactParetoExplorer(instance, lint=True)
-        result = explorer.run()
-        stats = result.statistics
-        assert stats.lint_seconds > 0.0
-        assert stats.lint_errors == 0
-        payload = result.to_dict()["statistics"]
-        assert payload["lint_errors"] == 0
-        assert payload["lint_seconds"] == stats.lint_seconds
+    def test_clean_spec_explores_and_reports(self, capsys):
+        from repro.dse.__main__ import main
+
+        code = main(
+            ["--tasks", "3", "--seed", "2", "--platform", "bus", "--size", "3",
+             "--lint"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Pareto front" in out
+        (line,) = [line for line in out.splitlines() if line.startswith("lint:")]
+        assert line.startswith("lint: 0 error(s), 0 warning(s), 1 info(s), ")
+
+    def test_unroutable_spec_aborts(self, tmp_path, capsys):
+        from repro.dse.__main__ import main
+        from repro.synthesis.io import save_specification
+        from repro.synthesis.model import (
+            Application,
+            Architecture,
+            MappingOption,
+            Message,
+            Resource,
+            Specification,
+            Task,
+        )
+
+        # Two tasks pinned to resources with no link between them.
+        unroutable = Specification(
+            Application(
+                tasks=(Task("a"), Task("b")), messages=(Message("m", "a", "b"),)
+            ),
+            Architecture(
+                resources=(Resource("r1", cost=1), Resource("r2", cost=1)),
+                links=(),
+            ),
+            (
+                MappingOption("a", "r1", wcet=1, energy=1),
+                MappingOption("b", "r2", wcet=1, energy=1),
+            ),
+        )
+        path = tmp_path / "unroutable.json"
+        save_specification(unroutable, path)
+        assert main(["--spec", str(path), "--lint"]) == 1
+        out = capsys.readouterr().out
+        assert "error[spec-unroutable-communication]" in out
+        assert out.splitlines()[-1] == "lint: 1 error(s), aborting"
+        assert "Pareto front" not in out

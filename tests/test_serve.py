@@ -81,6 +81,16 @@ def unroutable_spec() -> Specification:
     return Specification(application, architecture, mappings)
 
 
+def witness(entry) -> Implementation:
+    """The implementation of one serialized front entry."""
+    return Implementation(
+        binding=dict(entry["binding"]),
+        routes={m: list(r) for m, r in entry["routes"].items()},
+        schedule=dict(entry["schedule"]),
+        objectives=dict(entry["objective_values"]),
+    )
+
+
 def run(coro):
     return asyncio.run(coro)
 
@@ -252,13 +262,69 @@ def test_renamed_twin_hits_cache_with_valid_witnesses():
     # The cached witnesses were remapped into the twin's namespace and
     # must be valid implementations of the twin.
     for entry in second.result["front"]:
-        implementation = Implementation(
-            binding=dict(entry["binding"]),
-            routes={m: list(r) for m, r in entry["routes"].items()},
-            schedule=dict(entry["schedule"]),
-            objectives=dict(entry["objective_values"]),
-        )
-        assert validate(renamed, implementation) == []
+        assert validate(renamed, witness(entry)) == []
+
+
+def test_inexact_canonical_form_still_serves_exact_fronts(monkeypatch):
+    """Past the canonicalizer's leaf budget (``exact=False``) a request
+    and its renamed twin both get explore()'s vectors, each with
+    witnesses valid in its own names."""
+    import repro.serve.server as server_module
+    from repro.analysis.canonical import canonicalize_specification
+    from repro.fuzz.oracles import _rename_spec
+
+    exact = []
+
+    def capped(spec):
+        canonical = canonicalize_specification(spec, max_leaves=1)
+        exact.append(canonical.exact)
+        return canonical
+
+    monkeypatch.setattr(server_module, "canonicalize_specification", capped)
+    # Two interchangeable pairs a->b and c->d, each task fast on one of
+    # two identical resources: the search needs more than one leaf.
+    options = []
+    for task, fast in (("a", "p"), ("b", "q"), ("c", "p"), ("d", "q")):
+        for resource in ("p", "q"):
+            wcet = 2 if resource == fast else 5
+            options.append(
+                MappingOption(task, resource, wcet=wcet, energy=7 - wcet)
+            )
+    spec = Specification(
+        Application(
+            tasks=(Task("a"), Task("b"), Task("c"), Task("d")),
+            messages=(Message("m1", "a", "b"), Message("m2", "c", "d")),
+        ),
+        Architecture(
+            resources=(Resource("p", cost=3), Resource("q", cost=3)),
+            links=(Link("pq", "p", "q"), Link("qp", "q", "p")),
+        ),
+        tuple(options),
+    )
+    twin = _rename_spec(spec, "z")
+
+    async def scenario():
+        server = await started_server()
+        host, port = server.address
+        client = await ServeClient.connect(host, port)
+        try:
+            first = await client.solve(specification_to_dict(spec))
+            second = await client.solve(specification_to_dict(twin))
+        finally:
+            await client.close()
+        await server.shutdown()
+        return first, second
+
+    first, second = run(scenario())
+    assert exact == [False, False]
+    direct = explore(spec).vectors()
+    assert len(direct) == 3
+    for outcome, served_spec in ((first, spec), (second, twin)):
+        assert outcome.ok
+        front = outcome.result["front"]
+        assert sorted(tuple(e["vector"]) for e in front) == direct
+        for entry in front:
+            assert validate(served_spec, witness(entry)) == []
 
 
 def test_concurrent_identical_specs_coalesce_to_one_solve(monkeypatch):
@@ -294,6 +360,94 @@ def test_concurrent_identical_specs_coalesce_to_one_solve(monkeypatch):
     assert sum(1 for o in outcomes if o.coalesced) == 4
     fronts = [o.result["front"] for o in outcomes]
     assert all(front == fronts[0] for front in fronts)
+
+
+def duplicate_heavy_stream():
+    """80 seeded requests over 6 admissible generated specs.
+
+    Half the repeats are renamed isomorphic twins, the way clients
+    resubmit one design under their own names.
+    """
+    import random
+
+    from repro.fuzz.generators import generate_spec
+    from repro.fuzz.oracles import _rename_spec
+    from repro.serve.admission import admit
+
+    pool = []
+    candidate = 0
+    while len(pool) < 6:
+        spec_input = generate_spec(candidate)
+        candidate += 1
+        spec = spec_input.specification
+        # Small binding spaces keep the solves short: this is a test of
+        # the serving layer, not the solver.
+        if spec.binding_space_size() > 64:
+            continue
+        if admit(spec, spec_input.objectives).admitted:
+            pool.append(spec_input)
+    rng = random.Random("bench-serve-0")
+    stream = []
+    for _ in range(80):
+        spec_input = rng.choice(pool)
+        spec = spec_input.specification
+        if rng.random() < 0.5:
+            spec = _rename_spec(spec, f"x{rng.randrange(3)}")
+        stream.append(
+            {
+                "spec": specification_to_dict(spec),
+                "objectives": list(spec_input.objectives),
+                "options": {"latency_bound": spec_input.latency_bound},
+            }
+        )
+    return stream
+
+
+def test_duplicate_heavy_stream_solves_each_spec_once():
+    """80 requests over 6 specs from 8 clients: 6 solves, the rest reuse."""
+    stream = duplicate_heavy_stream()
+
+    async def drive(server):
+        host, port = server.address
+        pending = list(reversed(stream))
+        failures = []
+
+        async def client_loop():
+            client = await ServeClient.connect(host, port)
+            try:
+                while pending:
+                    request = pending.pop()
+                    outcome = await client.solve(
+                        request["spec"],
+                        objectives=request["objectives"],
+                        options=request["options"],
+                    )
+                    if not outcome.ok:
+                        failures.append(outcome.cancelled or outcome.error)
+            finally:
+                await client.close()
+
+        await asyncio.gather(*(client_loop() for _ in range(8)))
+        return failures, dict(server.counters)
+
+    async def scenario():
+        server = await started_server()
+        first = await drive(server)
+        replay = await drive(server)
+        await server.shutdown()
+        return first, replay
+
+    (failures, first), (replay_failures, replay) = run(scenario())
+    assert failures == [] and replay_failures == []
+    assert first["requests"] == len(stream) == 80
+    assert first["protocol_errors"] == 0
+    assert first["solves_started"] == 6
+    assert first["cache_hits"] + first["coalesced"] == 74
+    # Replaying the stream is served from the cache alone.
+    assert replay["cache_hits"] - first["cache_hits"] == 80
+    assert replay["solves_started"] == 6
+    assert replay["coalesced"] == first["coalesced"]
+    assert replay["protocol_errors"] == 0
 
 
 def test_result_cache_is_bounded_lru():

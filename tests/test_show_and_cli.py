@@ -92,6 +92,28 @@ class TestAspCli:
         self.run([str(path), "--stats", "--models", "0"])
         assert "Conflicts:" in capsys.readouterr().out
 
+    def test_parse_error_names_its_file(self, capsys, tmp_path):
+        good = tmp_path / "good.lp"
+        good.write_text("a.\n")
+        bad = tmp_path / "bad.lp"
+        bad.write_text("a.\nb(.")
+        # Exit 2, not UNSATISFIABLE's 1; the line is relative to bad.lp.
+        assert self.run([str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"{bad}:2:3: unexpected token '.' in term"
+        ]
+
+    def test_grounding_error_is_one_line(self, capsys, tmp_path):
+        path = tmp_path / "unsafe.lp"
+        path.write_text("p(X) :- q.")
+        assert self.run([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: unsafe variable(s) X")
+
 
 class TestBenchCli:
     def test_table1_quick(self, capsys):
