@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import List, Optional
 
 from repro.asp.control import Control
@@ -84,8 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # One source name per Control part, for locating parse errors.
     sources = []
     for path in args.files:
-        text = sys.stdin.read() if path == "-" else open(path).read()
-        control.add(text)
+        control.load(path)
         sources.append("<stdin>" if path == "-" else path)
     # Overrides come last: for duplicate #const names the last wins.
     for override in args.const:
@@ -100,7 +100,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         control.register_propagator(LinearPropagator())
         control.register_propagator(DifferenceLogicPropagator())
     try:
-        control.ground(lint=args.lint)
+        with warnings.catch_warnings(record=True) as findings:
+            warnings.simplefilter("always")
+            try:
+                control.ground(lint=args.lint)
+            finally:
+                # Lint findings are located in their own file already.
+                for finding in findings:
+                    print(finding.message, file=sys.stderr)
     except ParseError as error:
         print(
             f"{sources[error.part]}:{error.line}:{error.column}: {error.message}",

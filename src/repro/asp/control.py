@@ -19,19 +19,32 @@ functionally determined and need no blocking).
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.asp import ast
 from repro.asp.completion import Translation, translate
 from repro.asp.flatsolver import FlatSolver, SolverStatistics
 from repro.asp.ground import GroundProgram
-from repro.asp.grounder import Grounder
+from repro.asp.grounder import Grounder, PreparedRule, constants_mentioned, prepare_rule
 from repro.asp.parser import ParseError, parse_program
 from repro.asp.propagator import PropagatorInit, TheoryPropagator
-from repro.asp.syntax import Function, Number
+from repro.asp.syntax import Function, Number, String, Symbol
 from repro.asp.unfounded import UnfoundedSetPropagator
 
 __all__ = [
@@ -44,30 +57,56 @@ __all__ = [
 ]
 
 
+class FactPart(NamedTuple):
+    """A :meth:`Control.add_facts` part: ``#const`` values and ground atoms."""
+
+    constants: Tuple[Tuple[str, Symbol], ...]
+    atoms: Tuple[Function, ...]
+
+    def text(self) -> str:
+        """The part as program text (what the linter reads)."""
+        lines = [f"#const {name} = {value}." for name, value in self.constants]
+        lines.extend(f"{atom}." for atom in self.atoms)
+        return "\n".join(lines)
+
+
+#: A program part: source text, or facts given as data.
+Part = Union[str, FactPart]
+
+
 # ---------------------------------------------------------------------------
-# Shared ground-program cache and parsed-part memo
+# Shared ground-program cache, parsed-part memo and prepared-rule memo
 # ---------------------------------------------------------------------------
 
-#: Maximum number of ground programs retained, keyed on program text.
+#: Maximum number of ground programs retained, keyed on the program parts.
 GROUND_CACHE_SIZE = 16
 #: Maximum number of parsed program parts retained, keyed on part text.
 PARSE_CACHE_SIZE = 32
+#: Maximum number of prepared rules retained, keyed on the rule and the
+#: values of the constants it mentions.
+RULE_CACHE_SIZE = 512
 
-#: Guards lookups and inserts of both caches (serve grounds on several
-#: executor threads); parsing and grounding run outside it.
+#: Guards lookups and inserts of the three caches (serve grounds on
+#: several executor threads); parsing, preparing and grounding run
+#: outside it.
 _cache_lock = threading.Lock()
-_ground_cache: "OrderedDict[Tuple[str, str], GroundProgram]" = OrderedDict()
+_ground_cache: "OrderedDict[Tuple[str, Tuple[Part, ...]], GroundProgram]" = (
+    OrderedDict()
+)
 _ground_cache_hits = 0
 _ground_cache_misses = 0
 _parse_cache: "OrderedDict[str, ast.Program]" = OrderedDict()
+_rule_cache: "OrderedDict[tuple, PreparedRule]" = OrderedDict()
 
 
 def clear_ground_cache() -> None:
-    """Drop all cached ground programs and parsed parts (tests; memory)."""
+    """Drop all cached ground programs, parsed parts and prepared rules
+    (tests; memory)."""
     global _ground_cache_hits, _ground_cache_misses
     with _cache_lock:
         _ground_cache.clear()
         _parse_cache.clear()
+        _rule_cache.clear()
         _ground_cache_hits = 0
         _ground_cache_misses = 0
 
@@ -110,16 +149,52 @@ def _parse_part(text: str, cache: bool) -> ast.Program:
     return parsed
 
 
-def _parse_parts(parts: Sequence[str], cache: bool) -> ast.Program:
+def _prepare_rule(rule: ast.Rule, constants: Dict[str, ast.Term]) -> PreparedRule:
+    """:func:`~repro.asp.grounder.prepare_rule` through the per-process memo.
+
+    The template blocks' rules recur in every request, most of them
+    under no constant or the same ``h``; the memo substitutes, plans and
+    safety-checks each once per constant value.  Only safe rules are
+    kept, so an error always reports the locations of the program at
+    hand, and bodiless rules (facts) are never kept.
+    """
+    if not rule.body and isinstance(rule.head, ast.FunctionTerm):
+        return prepare_rule(rule, constants)
+    key = (
+        rule,
+        tuple((name, constants[name]) for name in constants_mentioned(rule, constants)),
+    )
+    with _cache_lock:
+        prepared = _rule_cache.get(key)
+        if prepared is not None:
+            _rule_cache.move_to_end(key)
+            return prepared
+    prepared = prepare_rule(rule, constants)
+    if not prepared.violations:
+        _lru_put(_rule_cache, key, prepared, RULE_CACHE_SIZE)
+    return prepared
+
+
+def _parse_parts(
+    parts: Sequence[Part], cache: bool
+) -> Tuple[ast.Program, List[Tuple[int, Tuple[Function, ...]]]]:
     """One program equal to a parse of the joined ``parts``, built part-wise.
 
     Rules and ``#const`` definitions keep their order; ``#show`` and
     ``#external`` signatures are unioned (``shows`` stays None when no
     part has a ``#show``).  Locations are relative to each part, as
     clingo reports them per block; a :class:`ParseError` names its part.
+    Fact parts are not parsed: their atoms come back as ``(position,
+    atoms)`` blocks for :class:`~repro.asp.grounder.Grounder`.
     """
     merged = ast.Program()
+    facts: List[Tuple[int, Tuple[Function, ...]]] = []
     for index, part in enumerate(parts):
+        if isinstance(part, FactPart):
+            for name, value in part.constants:
+                merged.constants[name] = ast.SymbolTerm(value)
+            facts.append((len(merged.rules), part.atoms))
+            continue
         try:
             parsed = _parse_part(part, cache)
         except ParseError as error:
@@ -132,25 +207,26 @@ def _parse_parts(parts: Sequence[str], cache: bool) -> ast.Program:
                 merged.shows = set()
             merged.shows |= parsed.shows
         merged.externals |= parsed.externals
-    return merged
+    return merged, facts
 
 
 def _ground_parts_cached(
-    parts: Sequence[str], cache: bool, mode: str
+    parts: Sequence[Part], cache: bool, mode: str
 ) -> Tuple[GroundProgram, bool]:
     """Ground the program ``parts``; returns (program, hit).
 
-    The LRU is keyed on the grounding mode and the exact program text
-    (the parts joined by newlines), so repeated ``explore()``/``Control``
-    runs over the same instance — benchmark repetitions, parallel
-    workers on one machine, test fixtures — instantiate it once.
-    Sharing is safe because nothing downstream mutates a
-    :class:`GroundProgram` (the translator only reads it; the
-    dependency-graph cache is idempotent).  ``cache=False`` bypasses
-    both the LRU and the parsed-part memo.
+    The LRU is keyed on the grounding mode and the parts themselves (the
+    texts, and each fact part's constants and atoms in order), so
+    repeated ``explore()``/``Control`` runs over the same instance —
+    benchmark repetitions, parallel workers on one machine, test
+    fixtures — instantiate it once, and two programs share an entry only
+    when their text parts and their facts are equal.  Sharing is safe
+    because nothing downstream mutates a :class:`GroundProgram` (the
+    translator only reads it; the dependency-graph cache is idempotent).
+    ``cache=False`` bypasses the LRU and both memos.
     """
     global _ground_cache_hits, _ground_cache_misses
-    key = (mode, "\n".join(parts))
+    key = (mode, tuple(parts))
     if cache:
         with _cache_lock:
             program = _ground_cache.get(key)
@@ -159,8 +235,13 @@ def _ground_parts_cached(
                 _ground_cache_hits += 1
                 return program, True
             _ground_cache_misses += 1
-    parsed = _parse_parts(parts, cache)
-    grounder = Grounder(parsed, mode=mode)
+    parsed, facts = _parse_parts(parts, cache)
+    grounder = Grounder(
+        parsed,
+        mode=mode,
+        facts=facts,
+        prepare=_prepare_rule if cache else prepare_rule,
+    )
     rules = grounder.ground()
     program = GroundProgram(
         rules,
@@ -246,7 +327,9 @@ class Control:
     """Grounder + translator + solver with theory propagators."""
 
     def __init__(self) -> None:
-        self._parts: List[str] = []
+        self._parts: List[Part] = []
+        #: Where each part came from, for lint locations.
+        self._sources: List[str] = []
         self._propagators: List[TheoryPropagator] = []
         self._solver: Optional[FlatSolver] = None
         self._translation: Optional[Translation] = None
@@ -280,9 +363,49 @@ class Control:
         clingo parses each added block, and parse-error and
         unsafe-variable locations are relative to it.
         """
+        self._add_part(text, "<control>")
+
+    def load(self, path: str) -> None:
+        """Append the program in file ``path`` as one part (``-`` reads
+        standard input), as clingo's ``Control.load``; lint diagnostics
+        name the file."""
+        if path == "-":
+            self._add_part(sys.stdin.read(), "<stdin>")
+            return
+        with open(path) as handle:
+            self._add_part(handle.read(), path)
+
+    def add_facts(
+        self,
+        facts: Iterable[Function],
+        constants: Optional[Mapping[str, Symbol]] = None,
+    ) -> None:
+        """Append ground facts, and ``#const`` values, as data.
+
+        clorm's ``control_add_facts`` idiom: the atoms reach the grounder
+        without being rendered and parsed, and ground exactly as the
+        facts ``atom.`` written in their place would (the constants are
+        not substituted into them); ``constants`` act as ``#const``
+        definitions at this point of the program.
+        """
+        atoms = tuple(facts)
+        for atom in atoms:
+            if not isinstance(atom, Function) or not atom.positive:
+                raise TypeError(
+                    f"a fact must be a positive Function atom, got {atom!r}"
+                )
+        values = tuple((constants or {}).items())
+        for name, value in values:
+            if not isinstance(value, (Number, String, Function)):
+                raise TypeError(f"#const {name} must be a symbol, got {value!r}")
+        part = FactPart(values, atoms)
+        self._add_part(part, "<facts>")
+
+    def _add_part(self, part: Part, source: str) -> None:
         if self._translation is not None:
             raise RuntimeError("cannot add program text after ground()")
-        self._parts.append(text)
+        self._parts.append(part)
+        self._sources.append(source)
 
     def register_propagator(self, propagator: TheoryPropagator) -> None:
         if self._translation is not None:
@@ -308,11 +431,14 @@ class Control:
         any text added via :meth:`add` is ignored in that case.
 
         ``lint`` opts into the static analyzer (:mod:`repro.analysis`)
-        over the accumulated text before grounding: ``True`` surfaces
-        error/warning diagnostics as Python warnings, ``"raise"`` raises
-        :class:`repro.analysis.LintError` on error-severity findings.
-        The report lands in :attr:`lint_report`/:attr:`lint_seconds`
-        either way.  Ignored when a pre-ground ``program`` is passed.
+        over the accumulated parts before grounding, facts included:
+        ``True`` surfaces error/warning diagnostics as Python warnings,
+        ``"raise"`` raises :class:`repro.analysis.LintError` on
+        error-severity findings.  Diagnostics are located in their own
+        part (the file for :meth:`load`, ``<control>`` for :meth:`add`,
+        ``<facts>`` for :meth:`add_facts`).  The report lands in
+        :attr:`lint_report`/:attr:`lint_seconds` either way.  Ignored
+        when a pre-ground ``program`` is passed.
         """
         if self._translation is not None:
             raise RuntimeError(
@@ -350,7 +476,7 @@ class Control:
         here.
         """
         if lint:
-            self._lint("\n".join(self._parts), lint)
+            self._lint(lint, cache)
         program, hit = _ground_parts_cached(self._parts, cache, mode)
         self.ground_cache_hit = hit
         if not hit:
@@ -360,13 +486,55 @@ class Control:
         self._ground_program = program
         return program
 
-    def _lint(self, text: str, lint: object) -> None:
-        """Run the static analyzer over ``text`` (the ``lint=`` hook)."""
+    def _lint(self, lint: object, cache: bool) -> None:
+        """Run the static analyzer over the parts (the ``lint=`` hook).
+
+        A text part that does not parse is reported alone, as a parse of
+        it reports; otherwise the parts are linted as one program (so a
+        predicate defined in one part counts in another) and each
+        diagnostic is moved into the part that holds its line.
+        """
+        import dataclasses
         import warnings as _warnings
+        from bisect import bisect_right
 
         from repro.analysis import LintError, Severity, lint_text
 
-        report = lint_text(text, filename="<control>")
+        texts = [
+            part.text() if isinstance(part, FactPart) else part for part in self._parts
+        ]
+        report = None
+        for part, text, source in zip(self._parts, texts, self._sources):
+            if isinstance(part, FactPart):
+                continue
+            try:
+                _parse_part(text, cache)
+            except ParseError:
+                report = lint_text(text, filename=source)
+                break
+        if report is None:
+            report = lint_text("\n".join(texts), filename="<control>")
+            starts = [1]
+            for text in texts[:-1]:
+                starts.append(starts[-1] + text.count("\n") + 1)
+
+            def relocate(span):
+                index = bisect_right(starts, span.line) - 1
+                offset = starts[index] - 1
+                end_line = span.end_line - offset if span.end_line is not None else None
+                return dataclasses.replace(
+                    span,
+                    file=self._sources[index],
+                    line=span.line - offset,
+                    end_line=end_line,
+                )
+
+            report.diagnostics = [
+                d if d.span is None else dataclasses.replace(d, span=relocate(d.span))
+                for d in report.diagnostics
+            ]
+            report.files = list(dict.fromkeys(self._sources))
+            report.sort()
         self.lint_report = report
         self.lint_seconds += report.seconds
         if lint == "raise":

@@ -25,6 +25,11 @@ translator resolves atoms that never became possible.  Aggregates and
 element conditions over predicates of the same component ("recursive
 aggregates") are rejected with :class:`GroundingError` — the synthesis
 encodings do not need them.
+
+Facts may arrive as ground atoms instead of text (``Grounder(...,
+facts=...)``).  The facts of a signature that no rule defines, atoms and
+ground text facts alike, share one schedule node and are emitted without
+a join, exactly as one node per fact would emit them.
 """
 
 from __future__ import annotations
@@ -665,6 +670,134 @@ class _RulePlan:
         self.head_signatures: List[Signature] = _rule_head_signatures(rule)
 
 
+class PreparedRule:
+    """A rule ready for instantiation: ``#const``-substituted and planned.
+
+    ``fact`` is the atom of a bodiless rule whose head is ground (its
+    plan is built only when a rule also defines the fact's signature);
+    ``violations`` holds the rule's fatal safety violations, on which
+    :meth:`Grounder.ground` raises.  Any other prepared rule is complete
+    when :func:`prepare_rule` returns it and is never mutated, so one
+    can serve every program that holds the rule under the same constant
+    values, on any thread.
+    """
+
+    __slots__ = ("rule", "fact", "violations", "_plan")
+
+    def __init__(self, rule: ast.Rule, fact: Optional[Function], violations) -> None:
+        self.rule = rule
+        self.fact = fact
+        self.violations = violations
+        self._plan: Optional[_RulePlan] = None
+        if fact is None:
+            self._plan = _RulePlan(rule, Grounder._is_binder)
+
+    @property
+    def plan(self) -> "_RulePlan":
+        if self._plan is None:
+            self._plan = _RulePlan(self.rule, Grounder._is_binder)
+        return self._plan
+
+
+def prepare_rule(rule: ast.Rule, constants: Dict[str, ast.Term]) -> PreparedRule:
+    """Substitute ``constants`` into ``rule``, plan it and check its safety."""
+    from repro.analysis.safety import fatal_violations
+
+    rule = Grounder._substitute_constants(rule, constants)
+    if not rule.body and isinstance(rule.head, ast.FunctionTerm):
+        atom = evaluate_term(rule.head, {})
+        if atom is not None:
+            return PreparedRule(rule, atom, ())
+    return PreparedRule(rule, None, tuple(fatal_violations(rule)))
+
+
+def constants_mentioned(
+    rule: ast.Rule, constants: Dict[str, ast.Term]
+) -> Tuple[str, ...]:
+    """The names in ``constants`` that :meth:`Grounder._substitute_constants`
+    would replace in ``rule`` (argument positions only, in first-seen order)."""
+    if not constants:
+        return ()
+    found: Dict[str, None] = {}
+
+    def term(node) -> None:
+        if isinstance(node, ast.FunctionTerm):
+            if not node.arguments:
+                if node.name in constants:
+                    found[node.name] = None
+            for argument in node.arguments:
+                term(argument)
+        elif isinstance(node, ast.BinaryTerm):
+            term(node.lhs)
+            term(node.rhs)
+        elif isinstance(node, ast.UnaryTerm):
+            term(node.argument)
+        elif isinstance(node, ast.IntervalTerm):
+            term(node.lower)
+            term(node.upper)
+        elif isinstance(node, ast.PoolTerm):
+            for option in node.options:
+                term(option)
+
+    def literal(node: ast.Literal) -> None:
+        atom = node.atom
+        if isinstance(atom, ast.Comparison):
+            term(atom.lhs)
+            term(atom.rhs)
+        else:
+            for argument in atom.arguments:
+                term(argument)
+
+    def elements(items) -> None:
+        for element in items:
+            for item in getattr(element, "terms", ()):
+                term(item)
+            atom = getattr(element, "atom", None)
+            if atom is not None:
+                for argument in atom.arguments:
+                    term(argument)
+            for condition in element.condition:
+                literal(condition)
+
+    for item in rule.body:
+        if isinstance(item, ast.Literal):
+            literal(item)
+        else:
+            elements(item.elements)
+            for guard in (item.left_guard, item.right_guard):
+                if guard is not None:
+                    term(guard[1])
+    head = rule.head
+    if isinstance(head, ast.FunctionTerm):
+        for argument in head.arguments:
+            term(argument)
+    elif isinstance(head, ast.ChoiceHead):
+        elements(head.elements)
+        for bound in (head.lower, head.upper):
+            if bound is not None:
+                term(bound)
+    elif isinstance(head, ast.TheoryAtom):
+        for argument in head.arguments:
+            term(argument)
+        elements(head.elements)
+        if head.guard is not None:
+            term(head.guard[1])
+    return tuple(found)
+
+
+def _fact_rule(atom: Function) -> PreparedRule:
+    """An atom fact as the bodiless rule a parse of its text would give."""
+
+    def term(symbol: Symbol) -> ast.Term:
+        if isinstance(symbol, Function):
+            return ast.FunctionTerm(
+                symbol.name, tuple(term(argument) for argument in symbol.arguments)
+            )
+        return ast.SymbolTerm(symbol)
+
+    return PreparedRule(ast.Rule(term(atom), ()), atom, ())
+
+
 class Grounder:
     """Instantiates a non-ground program into :class:`GroundRule` objects.
 
@@ -684,14 +817,45 @@ class Grounder:
     #: The curated encodings need at most ~4k.
     MAX_INSTANTIATIONS = 1_000_000
 
-    def __init__(self, program: ast.Program, mode: str = "seminaive"):
+    def __init__(
+        self,
+        program: ast.Program,
+        mode: str = "seminaive",
+        facts: Sequence[Tuple[int, Sequence[Function]]] = (),
+        prepare=prepare_rule,
+    ):
+        """``facts`` holds ground atoms given as data, as ``(position,
+        atoms)`` blocks that come before ``program.rules[position]`` in
+        statement order; ``prepare`` turns each rule into a
+        :class:`PreparedRule` (a memoizing caller passes its own)."""
         if mode not in ("seminaive", "naive"):
             raise ValueError(f"unknown grounding mode {mode!r}")
+        started = perf_counter()
         self._mode = mode
-        self._rules = [
-            self._substitute_constants(rule, program.constants) for rule in program.rules
-        ]
-        self._plans = [_RulePlan(rule, self._is_binder) for rule in self._rules]
+        prepared = [prepare(rule, program.constants) for rule in program.rules]
+        # Signatures some rule other than a ground fact defines: their
+        # facts keep one schedule node per fact, all others share one.
+        defined: Set[Signature] = set()
+        for entry in prepared:
+            if entry.fact is None:
+                defined.update(entry.plan.head_signatures)
+        blocks: Dict[int, List[Sequence[Function]]] = {}
+        for position, atoms in facts:
+            blocks.setdefault(position, []).append(atoms)
+        self._rules: List[ast.Rule] = []
+        self._plans: List[_RulePlan] = []
+        self._violations: List[tuple] = []
+        #: Statement order: a rule index, or a fact signature at the
+        #: position of its first fact.
+        self._statements: List[object] = []
+        self._fact_groups: Dict[Signature, List[Function]] = {}
+        for position in range(len(prepared) + 1):
+            for atoms in blocks.get(position, ()):
+                for atom in atoms:
+                    self._add_statement(atom, None, defined)
+            if position < len(prepared):
+                entry = prepared[position]
+                self._add_statement(entry.fact, entry, defined)
         self._index = _AtomIndex()
         self._emitted: Set[object] = set()
         self._output: List[GroundRule] = []
@@ -705,6 +869,29 @@ class Grounder:
         self._track_delta = False
         self._delta_next: Dict[Signature, Dict[Function, None]] = {}
         self.statistics = GroundingStatistics(mode=mode)
+        self.statistics.seconds += perf_counter() - started
+
+    def _add_statement(
+        self,
+        fact: Optional[Function],
+        entry: Optional[PreparedRule],
+        defined: Set[Signature],
+    ) -> None:
+        """Append one statement: a fact of a signature no rule defines
+        joins its signature's fact node; anything else is a rule."""
+        if fact is not None and fact.signature not in defined:
+            group = self._fact_groups.get(fact.signature)
+            if group is None:
+                group = self._fact_groups[fact.signature] = []
+                self._statements.append(fact.signature)
+            group.append(fact)
+            return
+        if entry is None:
+            entry = _fact_rule(fact)
+        self._statements.append(len(self._rules))
+        self._rules.append(entry.rule)
+        self._plans.append(entry.plan)
+        self._violations.append(entry.violations)
 
     # -- #const substitution --------------------------------------------------
 
@@ -802,40 +989,55 @@ class Grounder:
 
     # -- component scheduling ---------------------------------------------------
 
-    def _schedule(self) -> List[List[int]]:
-        """Group rule indices into batches following the dependency condensation.
+    def _schedule(self) -> List[Tuple[object, Set[Signature]]]:
+        """Order the statements into batches along the dependency condensation.
 
-        The graph is bipartite: signature nodes and rule nodes.  A rule
-        node depends on every signature it reads; every signature a rule
-        defines depends on the rule node.  Batches are SCCs in topological
-        order; a rule in a batch may read its own batch's signatures only
+        The graph is bipartite: signature nodes and statement nodes.  A
+        rule node points to every signature it reads (``rule → body
+        signature``) and every signature points to the statements that
+        define it (``head signature → rule``).  A fact signature that no
+        rule defines has one statement node for all its facts, added at
+        the position of its first fact.  A topological order of the
+        condensation lists consumers first, so the batches run in the
+        reversed order: a rule's dependencies are ground before the rule.
+        A rule in a batch may read its own batch's signatures only
         through plain positive/negative literals (checked by the caller).
+
+        Returns ``(batch, signatures)`` pairs: ``batch`` is a sorted list
+        of rule indices or a fact signature, ``signatures`` the
+        signature nodes of its component.
         """
         graph = nx.DiGraph()
-        for i, plan in enumerate(self._plans):
-            rule_node = ("rule", i)
-            graph.add_node(rule_node)
-            for sig, _needs_closed in plan.occurrences:
-                graph.add_edge(rule_node, ("sig", sig))
-            for sig in plan.head_signatures:
-                graph.add_edge(("sig", sig), rule_node)
+        for statement in self._statements:
+            if isinstance(statement, int):
+                plan = self._plans[statement]
+                node = ("rule", statement)
+                graph.add_node(node)
+                for sig, _needs_closed in plan.occurrences:
+                    graph.add_edge(node, ("sig", sig))
+                for sig in plan.head_signatures:
+                    graph.add_edge(("sig", sig), node)
+            else:
+                node = ("facts", statement)
+                graph.add_node(node)
+                graph.add_edge(("sig", statement), node)
         condensation = nx.condensation(graph)
-        batches: List[List[int]] = []
         members: Dict[int, List[int]] = {}
-        for node, component in condensation.graph["mapping"].items():
-            if node[0] == "rule":
-                members.setdefault(component, []).append(node[1])
-        self._component_sigs: Dict[int, Set[Signature]] = {}
-        for node, component in condensation.graph["mapping"].items():
-            if node[0] == "sig":
-                self._component_sigs.setdefault(component, set()).add(node[1])
-        # Topological order of the condensation puts *consumers* first
-        # (edges point rule -> used signature); reverse it so that a
-        # rule's dependencies are grounded before the rule itself.
-        order = list(reversed(list(nx.topological_sort(condensation))))
-        self._batch_order = order
-        for component in order:
-            batches.append(sorted(members.get(component, [])))
+        fact_nodes: Dict[int, Signature] = {}
+        component_sigs: Dict[int, Set[Signature]] = {}
+        for (kind, payload), component in condensation.graph["mapping"].items():
+            if kind == "rule":
+                members.setdefault(component, []).append(payload)
+            elif kind == "facts":
+                fact_nodes[component] = payload
+            else:
+                component_sigs.setdefault(component, set()).add(payload)
+        batches: List[Tuple[object, Set[Signature]]] = []
+        for component in reversed(list(nx.topological_sort(condensation))):
+            batch = fact_nodes.get(component)
+            if batch is None:
+                batch = sorted(members.get(component, []))
+            batches.append((batch, component_sigs.get(component, set())))
         return batches
 
     # -- fixpoint ---------------------------------------------------------------
@@ -844,31 +1046,31 @@ class Grounder:
         """Run the component-wise grounding fixpoint; return the ground rules."""
         started = perf_counter()
         self._check_safety()
-        batches = self._schedule()
-        for component, rule_indices in zip(self._batch_order, batches):
-            sigs = self._component_sigs.get(component, set())
+        for batch, sigs in self._schedule():
+            if not isinstance(batch, list):
+                self._ground_facts(self._fact_groups[batch])
+                continue
             self._open = set(sigs)
-            self._check_batch(rule_indices)
+            self._check_batch(batch)
             if self._mode == "seminaive":
-                self._ground_batch_seminaive(rule_indices)
+                self._ground_batch_seminaive(batch)
             else:
-                self._ground_batch_naive(rule_indices)
+                self._ground_batch_naive(batch)
             self._closed |= sigs
             self._open = set()
         self.statistics.seconds += perf_counter() - started
         return self._output
 
     def _check_safety(self) -> None:
-        """Pre-grounding safety check: reject rules whose variables would
-        crash instantiation, naming the rule and its source location
-        instead of failing mid-join with a bare ``unsafe literal``
-        message.  The runtime checks in :meth:`_ground_literal` /
-        :meth:`_ground_head` stay as a backstop.
+        """Reject the first rule whose variables would crash
+        instantiation, naming the rule and its source location instead
+        of failing mid-join with a bare ``unsafe literal`` message.  The
+        runtime checks in :meth:`_ground_literal` / :meth:`_ground_head`
+        stay as a backstop.
         """
-        from repro.analysis.safety import display_name, fatal_violations
+        from repro.analysis.safety import display_name
 
-        for rule in self._rules:
-            violations = fatal_violations(rule)
+        for rule, violations in zip(self._rules, self._violations):
             if not violations:
                 continue
             names = ", ".join(
@@ -882,6 +1084,26 @@ class Grounder:
                 f"unsafe variable(s) {names} in {first.context} "
                 f"of rule `{rule}`{where}"
             )
+
+    def _ground_facts(self, atoms: List[Function]) -> None:
+        """Emit the facts of one signature that no rule defines.
+
+        They come out as one schedule node per fact would emit them (in
+        reversed input order) and count as those nodes' instantiations
+        would: once each, and in naive mode once more, with one more
+        pass, for each new fact.
+        """
+        statistics = self.statistics
+        naive = self._mode == "naive"
+        for atom in reversed(atoms):
+            statistics.instantiations += 1
+            if self._index.add_fact(atom):
+                self._output.append(GroundRule(atom, ()))
+                if naive:
+                    statistics.instantiations += 1
+                    statistics.delta_rounds += 1
+        if statistics.instantiations > self.MAX_INSTANTIATIONS:
+            raise self._cap_error()
 
     def _ground_batch_naive(self, rule_indices: List[int]) -> None:
         """Full-join fixpoint over the batch (reference strategy)."""
@@ -1272,11 +1494,7 @@ class Grounder:
         """Instantiate non-positive body parts and the head; emit the rule."""
         self.statistics.instantiations += 1
         if self.statistics.instantiations > self.MAX_INSTANTIATIONS:
-            raise GroundingError(
-                f"grounding exceeded {self.MAX_INSTANTIATIONS} rule "
-                "instantiations; a recursive rule may derive ever larger "
-                "terms"
-            )
+            raise self._cap_error()
         body: List[GroundLiteral] = []
         # Keep matched positive literals that are not (closed) facts
         # (binder equalities are fully resolved by the join).
@@ -1314,6 +1532,13 @@ class Grounder:
             changed = True
             changed |= self._register_head(head, ground)
         return changed
+
+    def _cap_error(self) -> GroundingError:
+        return GroundingError(
+            f"grounding exceeded {self.MAX_INSTANTIATIONS} rule "
+            "instantiations; a recursive rule may derive ever larger "
+            "terms"
+        )
 
     def _register_head(self, head: object, ground: GroundRule) -> bool:
         changed = False

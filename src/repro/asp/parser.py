@@ -37,7 +37,7 @@ class ParseError(Exception):
     Every instance carries ``line``, ``column`` (1-based) and ``token`` —
     the offending source text (``""`` at end of input) — so callers such
     as the linter can turn parse failures into located diagnostics.
-    ``part`` is the index of the :meth:`repro.asp.control.Control.add`
+    ``part`` is the index of the :class:`repro.asp.control.Control`
     part the location is relative to (None outside ``Control``).
     """
 
@@ -50,6 +50,9 @@ class ParseError(Exception):
         self.part: Optional[int] = None
 
 
+#: A constant or predicate name: the ``IDENT`` token.
+IDENT = re.compile(r"[a-z][A-Za-z0-9_]*")
+
 _TOKEN_RE = re.compile(
     r"""
       (?P<WS>\s+)
@@ -58,7 +61,9 @@ _TOKEN_RE = re.compile(
     | (?P<STRING>"(?:[^"\\]|\\.)*")
     | (?P<DIRECTIVE>\#[a-z]+)
     | (?P<VARIABLE>[_A-Z][A-Za-z0-9_]*)
-    | (?P<IDENT>[a-z][A-Za-z0-9_]*)
+    | (?P<IDENT>"""
+    + IDENT.pattern
+    + r""")
     | (?P<DOTS>\.\.)
     | (?P<IMPLIES>:-)
     | (?P<WEAK>:~)

@@ -44,8 +44,7 @@ class BranchAndBoundMinimizer:
         self.control.conflict_limit = conflict_limit
         self.linear = LinearPropagator()
         self.bound = ObjectiveBoundPropagator(instance.objectives, self.linear)
-        for part in instance.parts:
-            self.control.add(part)
+        instance.add_to(self.control)
         self.control.register_propagator(self.linear)
         self.control.register_propagator(self.bound)
         self.control.ground()

@@ -41,8 +41,7 @@ def exhaustive_front(
     control = Control()
     control.conflict_limit = conflict_limit
     linear = LinearPropagator()
-    for part in instance.parts:
-        control.add(part)
+    instance.add_to(control)
     control.register_propagator(linear)
     control.ground()
 

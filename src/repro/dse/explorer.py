@@ -497,7 +497,7 @@ class ExactParetoExplorer:
         front is exact *for the pinned subspace*.
 
         ``ground_program`` accepts a pre-ground
-        :class:`~repro.asp.ground.GroundProgram` of ``instance.parts``
+        :class:`~repro.asp.ground.GroundProgram` of ``instance``
         (the parallel explorer grounds once and ships the artifact to
         every worker).
         """
@@ -517,8 +517,7 @@ class ExactParetoExplorer:
         )
         self.control = Control()
         self.control.conflict_limit = chunk_conflicts
-        for part in instance.parts:
-            self.control.add(part)
+        instance.add_to(self.control)
         self.control.register_propagator(self.linear)
         if use_difference_logic:
             self.control.register_propagator(DifferenceLogicPropagator())

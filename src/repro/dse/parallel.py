@@ -360,8 +360,7 @@ class ParallelParetoExplorer:
         # The one grounding step: the workers reuse the artifact instead
         # of re-instantiating the same program each.
         grounder = Control()
-        for part in self.instance.parts:
-            grounder.add(part)
+        self.instance.add_to(grounder)
         ground = grounder.instantiate()
         if self.backend == "inline":
             workers = [

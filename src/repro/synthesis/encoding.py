@@ -49,13 +49,20 @@ resolved into solver literals by the DSE explorer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.asp.syntax import Function, Number, Symbol
 from repro.synthesis.model import Specification, SpecificationError
 
-__all__ = ["ObjectiveSpec", "EncodedInstance", "encode", "OBJECTIVES", "ALL_OBJECTIVES"]
+__all__ = [
+    "ObjectiveSpec",
+    "EncodedInstance",
+    "Facts",
+    "encode",
+    "OBJECTIVES",
+    "ALL_OBJECTIVES",
+]
 
 #: The default objective names of :func:`encode`.
 OBJECTIVES = ("latency", "energy", "cost")
@@ -82,18 +89,36 @@ class ObjectiveSpec:
     max_value: int = 0
 
 
+@dataclass(frozen=True)
+class Facts:
+    """A block of ground instance facts; ``title`` heads it in the text."""
+
+    title: str
+    atoms: Tuple[Function, ...]
+
+    def text(self) -> str:
+        lines = [f"% --- {self.title} ---"]
+        for atom in self.atoms:
+            arguments = ", ".join(str(argument) for argument in atom.arguments)
+            lines.append(f"{atom.name}({arguments}).")
+        return "\n".join(lines)
+
+
 @dataclass
 class EncodedInstance:
     """The encoding of one specification.
 
-    ``parts`` holds the program as :meth:`repro.asp.control.Control.add`
-    blocks: the instance facts, then each template block on its own, so
-    the template blocks' text recurs across specifications and
-    ``Control`` parses each of them once per process.
+    ``parts`` holds the program in order: the instance facts as
+    :class:`Facts`, then each template block as text (the fixed routing
+    tables are a second :class:`Facts` block).  :meth:`add_to` hands
+    them to a :class:`~repro.asp.control.Control`, the facts as atoms
+    with ``#const h``, so a request parses none of its facts and the
+    template blocks' text recurs across specifications (``Control``
+    parses each of them once per process).
     """
 
     specification: Specification
-    parts: Tuple[str, ...]
+    parts: Tuple[Union[Facts, str], ...]
     objectives: Tuple[ObjectiveSpec, ...]
     horizon: int
     serialize: bool = False
@@ -104,8 +129,23 @@ class EncodedInstance:
 
     @property
     def program(self) -> str:
-        """The whole program text (the parts joined by newlines)."""
-        return "\n".join(self.parts)
+        """The whole program as text: ``#const h``, then the parts joined
+        by newlines (what the linter and the spec analysis read)."""
+        lines = [f"#const h = {self.horizon}."]
+        for part in self.parts:
+            lines.append(part.text() if isinstance(part, Facts) else part)
+        return "\n".join(lines)
+
+    def add_to(self, control) -> None:
+        """Add the program to ``control``: the facts as atoms (with the
+        ``#const h`` value), the template blocks as text."""
+        constants = {"h": Number(self.horizon)}
+        for part in self.parts:
+            if isinstance(part, Facts):
+                control.add_facts(part.atoms, constants)
+                constants = None
+            else:
+                control.add(part)
 
     def objective(self, name: str) -> ObjectiveSpec:
         for spec in self.objectives:
@@ -195,33 +235,44 @@ conflict(T1, T2) :- bind(T1, R), bind(T2, R), T1 < T2.
 """
 
 
-def _facts(spec: Specification) -> List[str]:
-    lines: List[str] = ["% --- instance facts ---"]
+def _atom(name: str, *arguments) -> Function:
+    """A fact atom: names become constants, ints numbers."""
+    return Function(
+        name,
+        [
+            Function(argument) if isinstance(argument, str) else Number(argument)
+            for argument in arguments
+        ],
+    )
+
+
+def _facts(spec: Specification) -> Facts:
+    atoms: List[Function] = []
     for task in spec.application.tasks:
-        lines.append(f"task({task.name}).")
+        atoms.append(_atom("task", task.name))
     for message in spec.application.messages:
-        lines.append(f"message({message.name}).")
+        atoms.append(_atom("message", message.name))
         for target in message.targets:
-            lines.append(f"comm({message.name}, {message.source}, {target}).")
+            atoms.append(_atom("comm", message.name, message.source, target))
     for resource in spec.architecture.resources:
-        lines.append(f"res({resource.name}).")
+        atoms.append(_atom("res", resource.name))
     for link in spec.architecture.links:
-        lines.append(f"link({link.name}, {link.source}, {link.target}).")
+        atoms.append(_atom("link", link.name, link.source, link.target))
     for option in spec.mappings:
-        lines.append(
-            f"map({option.task}, {option.resource}, {option.wcet}, {option.energy})."
+        atoms.append(
+            _atom("map", option.task, option.resource, option.wcet, option.energy)
         )
     for message in spec.application.messages:
         for link in spec.architecture.links:
             delay = link.delay * max(message.size, 1)
-            lines.append(f"hopdelay({message.name}, {link.name}, {delay}).")
+            atoms.append(_atom("hopdelay", message.name, link.name, delay))
     for task in spec.application.tasks:
         if task.deadline is not None:
-            lines.append(f"deadline({task.name}, {task.deadline}).")
-    return lines
+            atoms.append(_atom("deadline", task.name, task.deadline))
+    return Facts("instance facts", tuple(atoms))
 
 
-def _fixed_route_facts(spec: Specification) -> List[str]:
+def _fixed_route_facts(spec: Specification) -> Facts:
     """``fixedroute/3`` and ``routable/2`` facts: canonical shortest paths.
 
     Deterministic dimension-free equivalent of XY routing: for every
@@ -233,7 +284,7 @@ def _fixed_route_facts(spec: Specification) -> List[str]:
     import networkx as nx
 
     graph = spec.architecture.graph()
-    lines: List[str] = ["% --- fixed routing tables ---"]
+    atoms: List[Function] = []
     for source in graph.nodes:
         try:
             paths = nx.single_source_dijkstra_path(
@@ -244,11 +295,11 @@ def _fixed_route_facts(spec: Specification) -> List[str]:
         for target, nodes in sorted(paths.items()):
             if target == source:
                 continue
-            lines.append(f"routable({source}, {target}).")
+            atoms.append(_atom("routable", source, target))
             for a, b in zip(nodes, nodes[1:]):
                 link = graph.edges[a, b]["link"]
-                lines.append(f"fixedroute({source}, {target}, {link.name}).")
-    return lines
+                atoms.append(_atom("fixedroute", source, target, link.name))
+    return Facts("fixed routing tables", tuple(atoms))
 
 
 def _objective_specs(
@@ -357,11 +408,9 @@ def encode(
                 "; ".join(f"[{f.rule}] {f.message}" for f in errors)
             )
     h = horizon if horizon is not None else spec.horizon()
-    facts = ["#const h = {}.".format(h)]
-    facts.extend(_facts(spec))
-    parts = ["\n".join(facts), _BINDING_RULES]
+    parts: List[Union[Facts, str]] = [_facts(spec), _BINDING_RULES]
     if routing == "fixed":
-        parts.append("\n".join(_fixed_route_facts(spec)))
+        parts.append(_fixed_route_facts(spec))
         parts.append(_FIXED_ROUTING_RULES)
     else:
         parts.append(_FREE_ROUTING_RULES)
@@ -398,7 +447,7 @@ def encode(
     )
 
 
-def _apply_symmetry(spec: Specification, routing: str, parts: List[str]):
+def _apply_symmetry(spec: Specification, routing: str, parts: List[Union[Facts, str]]):
     """Analyze the platform and append lex-leader rules to ``parts``."""
     from time import perf_counter
 

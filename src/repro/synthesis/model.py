@@ -13,6 +13,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 import networkx as nx
 
+from repro.asp.parser import IDENT
+
 __all__ = [
     "Task",
     "Message",
@@ -30,6 +32,21 @@ class SpecificationError(ValueError):
     """Raised for inconsistent specifications."""
 
 
+def _check_name(kind: str, name: object) -> None:
+    """Every entity name becomes an ASP constant in the encoding, both as
+    a fact atom's argument and in the program text; ``h`` is the
+    encoding's horizon ``#const``, which the text would substitute."""
+    if not isinstance(name, str) or IDENT.fullmatch(name) is None:
+        raise SpecificationError(
+            f"{kind} name {name!r} is not an ASP constant (a lower-case "
+            "letter, then letters, digits or underscores)"
+        )
+    if name == "h":
+        raise SpecificationError(
+            f"{kind} name 'h' is reserved for the encoding's horizon constant"
+        )
+
+
 @dataclass(frozen=True)
 class Task:
     """A computational actor of the application graph.
@@ -42,8 +59,7 @@ class Task:
     deadline: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.name.isidentifier():
-            raise SpecificationError(f"task name {self.name!r} is not an identifier")
+        _check_name("task", self.name)
         if self.deadline is not None and self.deadline <= 0:
             raise SpecificationError(f"task {self.name!r} has a non-positive deadline")
 
@@ -65,6 +81,7 @@ class Message:
     extra_targets: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_name("message", self.name)
         if self.size < 0:
             raise SpecificationError(f"message {self.name!r} has negative size")
         if self.target in self.extra_targets:
@@ -95,6 +112,7 @@ class Resource:
     cost: int = 0
 
     def __post_init__(self) -> None:
+        _check_name("resource", self.name)
         if self.cost < 0:
             raise SpecificationError(f"resource {self.name!r} has negative cost")
 
@@ -110,6 +128,7 @@ class Link:
     energy: int = 1
 
     def __post_init__(self) -> None:
+        _check_name("link", self.name)
         if self.delay < 0 or self.energy < 0:
             raise SpecificationError(f"link {self.name!r} has negative delay/energy")
         if self.source == self.target:

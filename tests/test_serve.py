@@ -528,6 +528,36 @@ def test_malformed_requests_get_error_events():
     assert server.counters["solves_started"] == 0
 
 
+def test_entity_name_that_is_no_asp_constant_is_a_bad_spec():
+    # Before names were checked, such a request was accepted and failed
+    # in the grounder ("solve failed: ... unsafe variable(s) PE0").
+    import json
+
+    data = json.loads(
+        json.dumps(specification_to_dict(curated("telecom_modem"))).replace(
+            '"risc"', '"PE0"'
+        )
+    )
+    assert "PE0" in json.dumps(data)
+
+    async def scenario():
+        server = await started_server()
+        host, port = server.address
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(encode_message({"id": 1, "action": "solve", "spec": data}))
+        await writer.drain()
+        event = decode_message((await reader.readline()).strip())
+        writer.close()
+        await writer.wait_closed()
+        await server.shutdown()
+        return server, event
+
+    server, event = run(scenario())
+    assert event["event"] == "error"
+    assert event["message"].startswith("bad spec: resource name 'PE0'")
+    assert server.counters["solves_started"] == 0
+
+
 def test_unknown_options_are_rejected():
     # symmetry and domain_bounds are not in the cache key, so accepting
     # them would let one setting's cached front answer the other's.

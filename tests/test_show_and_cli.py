@@ -105,6 +105,30 @@ class TestAspCli:
             f"{bad}:2:3: unexpected token '.' in term"
         ]
 
+    def test_lint_findings_name_their_file(self, capsys, tmp_path):
+        good = tmp_path / "good.lp"
+        good.write_text("a.\n")
+        bad = tmp_path / "bad.lp"
+        bad.write_text("a.\nb(.")
+        assert self.run(["--lint", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        # The lint finding and the parse error name one location, and
+        # the finding is printed as it is, without a warning header.
+        assert captured.err.splitlines() == [
+            f"{bad}:2:3: error[parse-error]: unexpected token '.' in term "
+            "(line 2, column 3)",
+            f"{bad}:2:3: unexpected token '.' in term",
+        ]
+        dead = tmp_path / "dead.lp"
+        dead.write_text("p(1).\nr :- s.\n")
+        assert self.run(["--lint", str(good), str(dead)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"{dead}:2:1: warning[dead-rule]: rule `r :- s.` can never fire: "
+            "positive body literal s is never derivable",
+            f"{dead}:2:6: warning[undefined-predicate]: s/0 is used but never "
+            "defined",
+        ]
+
     def test_grounding_error_is_one_line(self, capsys, tmp_path):
         path = tmp_path / "unsafe.lp"
         path.write_text("p(X) :- q.")

@@ -81,6 +81,41 @@ class TestValidation:
         with pytest.raises(SpecificationError):
             Task("not valid")
 
+    # Every name becomes an ASP constant: the parser's IDENT token
+    # ([a-z][A-Za-z0-9_]*), and not the horizon constant h.
+    BAD_NAMES = ["T0", "_t0", "pe-0", "pe 0", "l.f", "h", ""]
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_task_name_must_be_an_asp_constant(self, name):
+        with pytest.raises(SpecificationError, match="^task name"):
+            Task(name)
+
+    @pytest.mark.parametrize("name", BAD_NAMES + ["M0"])
+    def test_message_name_must_be_an_asp_constant(self, name):
+        with pytest.raises(SpecificationError, match="^message name"):
+            Message(name, "a", "b")
+
+    @pytest.mark.parametrize("name", BAD_NAMES + ["PE0"])
+    def test_resource_name_must_be_an_asp_constant(self, name):
+        with pytest.raises(SpecificationError, match="^resource name"):
+            Resource(name)
+
+    @pytest.mark.parametrize("name", BAD_NAMES + ["Lf"])
+    def test_link_name_must_be_an_asp_constant(self, name):
+        with pytest.raises(SpecificationError, match="^link name"):
+            Link(name, "r1", "r2")
+
+    def test_bad_name_in_a_dict_is_rejected_on_load(self):
+        import json
+
+        from repro.synthesis.io import specification_from_dict, specification_to_dict
+
+        data = json.loads(
+            json.dumps(specification_to_dict(tiny_spec())).replace('"r1"', '"PE0"')
+        )
+        with pytest.raises(SpecificationError, match="resource name 'PE0'"):
+            specification_from_dict(data)
+
     def test_nonpositive_wcet(self):
         with pytest.raises(SpecificationError):
             MappingOption("a", "r", wcet=0, energy=0)
