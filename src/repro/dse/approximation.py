@@ -8,12 +8,15 @@ archive point is within an additive ``epsilon`` of its lower-bound
 vector in every objective.
 
 :class:`EpsilonArchive` wraps any exact archive and implements the
-shifted dominance query, so the unchanged
-:class:`repro.dse.explorer.DominancePropagator` performs the approximate
-pruning.  Guarantee (tested in ``tests/test_approximation.py``): for
-every true Pareto point ``p`` the returned front contains a point ``a``
-with ``a_i <= p_i + epsilon`` for all ``i``; with ``epsilon = 0`` the
-result is the exact front.
+shifted dominance query, so :class:`repro.dse.explorer.DominancePropagator`
+performs the approximate pruning.  A returned point ``p`` satisfies
+``p <= v + epsilon`` only, so the propagator reads :attr:`epsilon` and
+explains each objective up to ``p_i - epsilon``, not ``p_i``.
+
+Guarantee (tested in ``tests/test_approximation.py``): for every true
+Pareto point ``p`` the returned front contains a point ``a`` with
+``a_i <= p_i + epsilon`` for all ``i``; with ``epsilon = 0`` the result
+is the exact front.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ class EpsilonArchive:
     def __init__(self, epsilon: int, base=None):
         if epsilon < 0:
             raise ValueError("epsilon must be non-negative")
+        #: How far a returned point may exceed the queried vector.
         self.epsilon = epsilon
         self._base = base if base is not None else ListArchive()
 

@@ -9,15 +9,15 @@
 * the :class:`DominancePropagator` — the paper's contribution: on every
   propagation fixpoint it computes a lower bound of the objective vector
   of the *current partial assignment* (pseudo-Boolean sums of true
-  literals; theory-variable lower bounds) and, when a point in the Pareto
-  archive weakly dominates that bound, adds the pruning nogood
+  literals; theory-variable lower bounds) and, when a point ``d`` in the
+  Pareto archive weakly dominates that bound, adds the pruning nogood
 
-      not (explanation of the bound)
+      not (explanation of bound_i >= d_i, for every objective i)
 
-  because no completion of the assignment can produce a *new* Pareto
-  point.  Total assignments that survive are new non-dominated points by
-  construction; enumeration runs until unsatisfiability, making the final
-  archive the exact Pareto front.
+  because every completion of the kept literals has bounds ``>= d`` and
+  so cannot produce a *new* Pareto point.  Total assignments that survive
+  are new non-dominated points by construction; enumeration runs until
+  unsatisfiability, making the final archive the exact Pareto front.
 
 :class:`ObjectiveBoundPropagator` is the single-objective sibling used by
 the branch-and-bound / epsilon-constraint baselines: it prunes
@@ -97,23 +97,24 @@ class DominancePropagator(TheoryPropagator):
         self.archive = archive
         self.objectives: List[Objective] = []
         self.partial_pruning = partial_pruning
-        self._true_lit = 0
+        # An epsilon archive (dse/approximation.py) returns a point p with
+        # p <= bounds + epsilon, so the bounds need only reach p - epsilon.
+        self._epsilon = getattr(archive, "epsilon", 0)
         #: Pruning statistics for the ablation benchmarks.
         self.pruned_partial = 0
         self.pruned_total = 0
         #: Wall seconds spent in dominance checks (bounds + archive query).
         self.prune_time = 0.0
-        # Cached (bounds, explanation) of the current assignment: the
-        # pseudo-Boolean parts only move when a watched literal fires
-        # (invalidated in propagate/undo) and the theory-variable parts
-        # only when the linear store's bound revision changes.
-        self._bound_cache: Optional[Tuple[Tuple[int, ...], List[int]]] = None
+        # Cached bounds of the current assignment: the pseudo-Boolean
+        # parts only move when a watched literal fires (invalidated in
+        # propagate/undo) and the theory-variable parts only when the
+        # linear store's bound revision changes.
+        self._bound_cache: Optional[Tuple[int, ...]] = None
         self._cache_revision = -1
 
     # -- setup -------------------------------------------------------------------
 
     def init(self, init: PropagatorInit) -> None:
-        self._true_lit = init.true_lit
         self.objectives = build_objectives(self._specs, init, self._linear)
         watched = set()
         for objective in self.objectives:
@@ -129,19 +130,15 @@ class DominancePropagator(TheoryPropagator):
 
     # -- pruning -----------------------------------------------------------------
 
-    def bound_vector(self, solver: FlatSolver) -> Tuple[Tuple[int, ...], List[int]]:
-        """Lower-bound vector of the current assignment + explanation."""
+    def bound_vector(self, solver: FlatSolver) -> Tuple[int, ...]:
+        """Lower-bound vector of the current assignment."""
         revision = self._linear.store.revision
         if self._bound_cache is not None and revision == self._cache_revision:
             return self._bound_cache
-        bounds: List[int] = []
-        explanation: List[int] = []
-        for objective in self.objectives:
-            bound, reason = objective.lower_bound(solver)
-            bounds.append(bound)
-            explanation.extend(reason)
-        self._bound_cache = (tuple(bounds), explanation)
-        self._cache_revision = self._linear.store.revision
+        self._bound_cache = tuple(
+            objective.bound(solver) for objective in self.objectives
+        )
+        self._cache_revision = revision
         return self._bound_cache
 
     def value_vector(self, solver: FlatSolver) -> Tuple[int, ...]:
@@ -150,8 +147,7 @@ class DominancePropagator(TheoryPropagator):
 
     def _prune(self, solver: FlatSolver, total: bool) -> bool:
         started = perf_counter()
-        bounds, explanation = self.bound_vector(solver)
-        dominator = self.archive.find_weak_dominator(bounds)
+        dominator = self.archive.find_weak_dominator(self.bound_vector(solver))
         if dominator is None:
             self.prune_time += perf_counter() - started
             return True
@@ -159,7 +155,10 @@ class DominancePropagator(TheoryPropagator):
             self.pruned_total += 1
         else:
             self.pruned_partial += 1
-        clause = [-lit for lit in dict.fromkeys(explanation) if lit != self._true_lit]
+        clause = []
+        for objective, point in zip(self.objectives, dominator):
+            reason = objective.explain(solver, point - self._epsilon)
+            clause.extend(-lit for lit in reason)
         solver.add_propagator_clause(clause)
         self.prune_time += perf_counter() - started
         return False
@@ -211,11 +210,9 @@ class ObjectiveBoundPropagator(TheoryPropagator):
         self.objectives: List[Objective] = []
         self.bounds: Dict[str, int] = {}
         self.activation: Optional[int] = None
-        self._true_lit = 0
         self.pruned = 0
 
     def init(self, init: PropagatorInit) -> None:
-        self._true_lit = init.true_lit
         self.objectives = build_objectives(self._specs, init, self._linear)
         watched = set()
         for objective in self.objectives:
@@ -232,12 +229,10 @@ class ObjectiveBoundPropagator(TheoryPropagator):
             limit = self.bounds.get(objective.name)
             if limit is None:
                 continue
-            bound, reason = objective.lower_bound(solver)
+            bound = objective.bound(solver)
             if bound > limit:
                 self.pruned += 1
-                clause = [
-                    -lit for lit in dict.fromkeys(reason) if lit != self._true_lit
-                ]
+                clause = [-lit for lit in objective.explain(solver, bound)]
                 if self.activation is not None:
                     clause.append(-self.activation)
                 solver.add_propagator_clause(clause)

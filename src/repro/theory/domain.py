@@ -86,6 +86,23 @@ class IntervalStore:
     def ub_reason(self, var: int) -> Tuple[int, ...]:
         return self._ub_reason[var]
 
+    def lb_reason_at_least(self, var: int, value: int) -> Tuple[int, ...]:
+        """Solver literals justifying ``lb >= value``.
+
+        Walks the trail back to the earliest lower bound of ``var`` that
+        is still ``>= value`` and returns that bound's reason: an earlier
+        bound rests on earlier literals than the current one.
+        """
+        if value > self._lb[var]:
+            raise ValueError(f"lower bound of {self._names[var]} is below {value}")
+        reason = self._lb_reason[var]
+        for _level, other, is_lower, old_bound, old_reason in reversed(self._trail):
+            if other == var and is_lower:
+                if old_bound < value:
+                    break
+                reason = old_reason
+        return reason
+
     def is_empty(self, var: int) -> bool:
         return self._lb[var] > self._ub[var]
 

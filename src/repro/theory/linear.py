@@ -539,13 +539,6 @@ class LinearPropagator(TheoryPropagator):
             raise KeyError(f"unknown theory variable {name}")
         return self.store.lb(var), self.store.ub(var)
 
-    def lower_bound(self, name: Symbol) -> Tuple[int, Tuple[int, ...]]:
-        """Lower bound with its explanation (for objectives/dominance)."""
-        var = self.store.var(name)
-        if var is None:
-            raise KeyError(f"unknown theory variable {name}")
-        return self.store.lb(var), self.store.lb_reason(var)
-
     def model_values(self, solver: FlatSolver) -> Dict[str, object]:
         """On a total assignment, each variable's lower bound is a witness."""
         assignment = {

@@ -1,12 +1,14 @@
 """Objective functions over partial assignments.
 
-The exact multi-objective DSE needs, for every objective, two operations:
+The exact multi-objective DSE needs, for every objective, three operations:
 
-* ``lower_bound(solver)`` — a sound lower bound of the objective value
-  for *any* completion of the current partial assignment, together with
-  an *explanation* (solver literals responsible for the bound).  The
-  dominance propagator compares the lower-bound vector against the Pareto
-  archive and turns the explanations into pruning clauses.
+* ``bound(solver)`` — a sound lower bound of the objective value for
+  *any* completion of the current partial assignment.  The dominance
+  propagator compares the bound vector against the Pareto archive.
+* ``explain(solver, target)`` — solver literals whose truth alone forces
+  ``bound >= target`` (for any ``target`` up to the current bound).  On a
+  weak dominator ``d`` the dominance propagator negates the explanations
+  of ``bound_i >= d_i`` into a pruning clause.
 * ``value(solver)`` — the exact value on a total assignment.
 
 Two implementations cover the synthesis objectives:
@@ -16,15 +18,15 @@ Two implementations cover the synthesis objectives:
   already-true literals and is exact on total assignments.
 * :class:`IntVarObjective` — the lower bound of a theory variable
   maintained by the :class:`repro.theory.linear.LinearPropagator`
-  (latency/makespan): bounds propagation supplies both the bound and its
-  explanation, and on total assignments the lower bound is a witness
-  value (the earliest schedule).
+  (latency/makespan): bounds propagation supplies the bound and the
+  reasons of its earlier values, and on total assignments the lower bound
+  is a witness value (the earliest schedule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Protocol, Sequence, Tuple
+from typing import Protocol, Sequence, Tuple
 
 from repro.asp.flatsolver import FlatSolver
 from repro.asp.syntax import Symbol
@@ -38,8 +40,11 @@ class Objective(Protocol):
 
     name: str
 
-    def lower_bound(self, solver: FlatSolver) -> Tuple[int, Tuple[int, ...]]:
-        """(bound, explanation literals) under the current assignment."""
+    def bound(self, solver: FlatSolver) -> int:
+        """Lower bound of the objective under the current assignment."""
+
+    def explain(self, solver: FlatSolver, target: int) -> Tuple[int, ...]:
+        """True literals that force ``bound >= target`` (``target <= bound``)."""
 
     def value(self, solver: FlatSolver) -> int:
         """Exact value on a total assignment."""
@@ -64,20 +69,41 @@ class PseudoBooleanObjective:
                     f"fold it into the offset and negate the literal"
                 )
 
-    def lower_bound(self, solver: FlatSolver) -> Tuple[int, Tuple[int, ...]]:
+    def bound(self, solver: FlatSolver) -> int:
         bound = self.offset
-        explanation: List[int] = []
         values = solver._values  # hot loop: avoid per-literal method calls
         for weight, lit in self.terms:
-            signed = values[lit] if lit > 0 else -values[-lit]
-            if weight and signed > 0:
+            if (values[lit] if lit > 0 else -values[-lit]) > 0:
                 bound += weight
-                explanation.append(lit)
-        return bound, tuple(explanation)
+        return bound
+
+    def explain(self, solver: FlatSolver, target: int) -> Tuple[int, ...]:
+        """The earliest true literals whose weights reach ``target``.
+
+        Literals are taken in ascending decision level, in term order
+        within one level, so the nogood holds as few late literals as the
+        target allows; ``target <= offset`` needs none.
+        """
+        missing = target - self.offset
+        if missing <= 0:
+            return ()
+        values = solver._values
+        true_terms = [
+            (weight, lit)
+            for weight, lit in self.terms
+            if weight and (values[lit] if lit > 0 else -values[-lit]) > 0
+        ]
+        true_terms.sort(key=lambda term: solver.level(term[1]))
+        explanation = []
+        for weight, lit in true_terms:
+            explanation.append(lit)
+            missing -= weight
+            if missing <= 0:
+                return tuple(explanation)
+        raise ValueError(f"objective {self.name!r} is below {target}")
 
     def value(self, solver: FlatSolver) -> int:
-        bound, _explanation = self.lower_bound(solver)
-        return bound
+        return self.bound(solver)
 
     def watch_literals(self) -> Sequence[int]:
         return [lit for weight, lit in self.terms if weight]
@@ -91,12 +117,16 @@ class IntVarObjective:
     propagator: LinearPropagator
     variable: Symbol
 
-    def lower_bound(self, solver: FlatSolver) -> Tuple[int, Tuple[int, ...]]:
-        return self.propagator.lower_bound(self.variable)
+    def bound(self, solver: FlatSolver) -> int:
+        lower, _upper = self.propagator.bounds(self.variable)
+        return lower
+
+    def explain(self, solver: FlatSolver, target: int) -> Tuple[int, ...]:
+        store = self.propagator.store
+        return store.lb_reason_at_least(store.var(self.variable), target)
 
     def value(self, solver: FlatSolver) -> int:
-        bound, _explanation = self.propagator.lower_bound(self.variable)
-        return bound
+        return self.bound(solver)
 
     def watch_literals(self) -> Sequence[int]:
         # Bounds move only through theory propagation, which is triggered

@@ -24,15 +24,15 @@ EXPECTED_TASKS = {
 #: has a non-trivial platform group, so only its search carries
 #: lex-leader constraints.
 EXPECTED_WORK = {
-    "consumer_jpeg": (226, 385, 11755, 11),
-    "telecom_modem": (131, 212, 6251, 5),
-    "auto_engine": (75, 114, 4188, 5),
-    "network_firewall": (1915, 2791, 139934, 35),
-    "mesh_symmetric": (696, 1164, 39977, 1),
+    "consumer_jpeg": (213, 414, 11739, 14),
+    "telecom_modem": (120, 209, 5673, 5),
+    "auto_engine": (77, 143, 4190, 6),
+    "network_firewall": (1559, 2357, 99662, 19),
+    "mesh_symmetric": (149, 412, 7315, 1),
 }
 
 #: The same counters for mesh_symmetric explored with ``symmetry="off"``.
-EXPECTED_WORK_SYMMETRY_OFF = (2682, 4548, 165187, 1)
+EXPECTED_WORK_SYMMETRY_OFF = (1751, 3823, 104677, 1)
 
 
 def work_counters(stats):

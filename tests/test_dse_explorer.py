@@ -10,8 +10,15 @@ from dataclasses import fields
 
 import pytest
 
+from repro.asp.flatsolver import FlatSolver
 from repro.baselines import exhaustive_front
-from repro.dse.explorer import DseStatistics, ExactParetoExplorer, explore
+from repro.dse import explorer as explorer_module
+from repro.dse.explorer import (
+    DominancePropagator,
+    DseStatistics,
+    ExactParetoExplorer,
+    explore,
+)
 from repro.synthesis.encoding import encode
 from repro.synthesis.model import (
     Application,
@@ -23,7 +30,9 @@ from repro.synthesis.model import (
     Specification,
     Task,
 )
+from repro.theory.objective import PseudoBooleanObjective
 from repro.workloads import WorkloadConfig, generate_specification, suite
+from repro.workloads.curated import curated
 
 
 def tradeoff_spec():
@@ -118,13 +127,18 @@ class TestStatistics:
         assert stats.pruned_partial > 0
         assert stats.wall_time > 0
 
-    def test_partial_pruning_reduces_or_equals_conflicts(self):
+    def test_partial_pruning_prunes_before_total_assignments(self):
         spec = generate_specification(WorkloadConfig(tasks=5, seed=1))
         with_pruning = explore(spec)
         without = explore(spec, partial_pruning=False)
         assert with_pruning.vectors() == without.vectors()
-        # Solution-level-only checking can never prune earlier.
-        assert without.statistics.pruned_total >= 0
+        # Partial pruning cuts every dominated branch at a propagation
+        # fixpoint, so no total assignment is left to the final check ...
+        assert with_pruning.statistics.pruned_partial > 0
+        assert with_pruning.statistics.pruned_total == 0
+        # ... while without it only total assignments are checked.
+        assert without.statistics.pruned_partial == 0
+        assert without.statistics.pruned_total > 0
 
     def test_conflict_limit_interrupts(self):
         spec = generate_specification(
@@ -146,3 +160,67 @@ class TestStatistics:
         result = explore(tradeoff_spec())
         keys = list(result.to_dict()["statistics"])
         assert keys == [field.name for field in fields(DseStatistics)]
+
+
+class _CheckedDominance(DominancePropagator):
+    """Checks each pruning nogood, as it is added, against its dominator."""
+
+    epsilon = 0
+    nogoods = 0
+
+    def _prune(self, solver, total):
+        found = []
+        find = self.archive.find_weak_dominator
+
+        def find_and_record(vector):
+            found.append(find(vector))
+            return found[-1]
+
+        def check_then_add(lits):
+            self.check_nogood(solver, found[-1], lits)
+            return FlatSolver.add_propagator_clause(solver, lits)
+
+        self.archive.find_weak_dominator = find_and_record
+        solver.add_propagator_clause = check_then_add
+        try:
+            return super()._prune(solver, total)
+        finally:
+            del self.archive.find_weak_dominator
+            del solver.add_propagator_clause
+
+    def check_nogood(self, solver, dominator, lits):
+        kept = {-lit for lit in lits}
+        assert all(solver.value(lit) is True for lit in kept)
+        for objective, point in zip(self.objectives, dominator):
+            target = point - self.epsilon
+            if isinstance(objective, PseudoBooleanObjective):
+                reached = objective.offset + sum(
+                    weight for weight, lit in objective.terms if lit in kept
+                )
+                assert reached >= target, (objective.name, reached, target)
+            else:
+                store = objective.propagator.store
+                var = store.var(objective.variable)
+                reason = store.lb_reason_at_least(var, target)
+                assert objective.explain(solver, target) == reason
+                assert set(reason) <= kept
+        type(self).nogoods += 1
+
+
+class TestDominanceNogoods:
+    """Every nogood forces bounds >= the dominator (minus epsilon)."""
+
+    @pytest.mark.parametrize(
+        "name, epsilon",
+        [("network_firewall", 0), ("mesh_symmetric", 0), ("consumer_jpeg", 2)],
+    )
+    def test_kept_literals_reach_the_dominator(self, monkeypatch, name, epsilon):
+        monkeypatch.setattr(explorer_module, "DominancePropagator", _CheckedDominance)
+        monkeypatch.setattr(_CheckedDominance, "epsilon", epsilon)
+        monkeypatch.setattr(_CheckedDominance, "nogoods", 0)
+        result = explore(curated(name), epsilon=epsilon)
+        assert not result.statistics.interrupted
+        assert _CheckedDominance.nogoods == (
+            result.statistics.pruned_partial + result.statistics.pruned_total
+        )
+        assert _CheckedDominance.nogoods > 0

@@ -411,10 +411,10 @@ class TestElasticScheduling:
 #: (the fig10 ablation).  The inline backend replays one trajectory, so
 #: these are exact and do not depend on ``PYTHONHASHSEED``.
 SHARING_WORK = {
-    ("consumer_jpeg", 2): ((12, 178, 4), (9, 170, 3)),
-    ("consumer_jpeg", 4): ((30, 219, 7), (8, 177, 1)),
-    ("network_firewall", 2): ((54, 3053, 2), (42, 2767, 1)),
-    ("network_firewall", 4): ((88, 4636, 15), (56, 3716, 7)),
+    ("consumer_jpeg", 2): ((12, 168, 4), (9, 157, 3)),
+    ("consumer_jpeg", 4): ((29, 219, 7), (8, 175, 1)),
+    ("network_firewall", 2): ((54, 2906, 1), (54, 2643, 1)),
+    ("network_firewall", 4): ((84, 4190, 6), (59, 3359, 5)),
 }
 
 
@@ -447,7 +447,7 @@ class TestConflictBudget:
     """``conflict_limit`` caps the conflicts each worker spends in a run.
 
     Every solver call gets ``min(chunk_conflicts, remaining budget)``;
-    network_firewall needs 1915 conflicts sequentially.
+    network_firewall needs 1559 conflicts sequentially.
     """
 
     def test_sequential_budget_interrupts_within_the_limit(self):

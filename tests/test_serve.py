@@ -680,7 +680,7 @@ def test_timeout_returns_partial_and_is_never_cached():
 
 
 def solve_network_firewall(**config):
-    """Solve curated network_firewall (1915 conflicts unchunked) once."""
+    """Solve curated network_firewall (1559 conflicts unchunked) once."""
 
     async def scenario():
         server = await started_server(**config)

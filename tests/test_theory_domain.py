@@ -1,5 +1,7 @@
 """Unit tests for the backtrackable interval store."""
 
+import pytest
+
 from repro.asp.syntax import Function
 from repro.theory.domain import INT_MAX, INT_MIN, IntervalStore
 
@@ -85,3 +87,53 @@ class TestUndo:
         assert store.lb(y) == 0
         assert store.ub(y) == 8
         assert store.lb(x) == 2
+
+
+class TestLowerBoundReasons:
+    """``lb_reason_at_least``: the reason of the earliest bound reaching a value."""
+
+    def raised(self):
+        store = IntervalStore()
+        x = store.add_var(sym("x"), 0, 20)
+        y = store.add_var(sym("y"), 0, 20)
+        store.set_lb(x, 2, (9,), level=0)
+        store.set_lb(x, 4, (1,), level=1)
+        store.set_lb(y, 5, (7,), level=1)
+        store.set_lb(x, 7, (2, 3), level=2)
+        store.set_ub(x, 15, (8,), level=2)
+        store.set_lb(x, 11, (4,), level=3)
+        return store, x, y
+
+    def test_each_threshold(self):
+        store, x, y = self.raised()
+        assert store.lb_reason_at_least(x, 11) == (4,)
+        assert [store.lb_reason_at_least(x, v) for v in (8, 9, 10)] == [(4,)] * 3
+        assert store.lb_reason_at_least(x, 7) == (2, 3)
+        assert store.lb_reason_at_least(x, 5) == (2, 3)
+        assert store.lb_reason_at_least(x, 4) == (1,)
+        assert store.lb_reason_at_least(x, 3) == (1,)
+        assert store.lb_reason_at_least(y, 5) == (7,)
+
+    def test_at_or_below_the_level_zero_bound(self):
+        store, x, y = self.raised()
+        assert store.lb_reason_at_least(x, 2) == (9,)
+        assert store.lb_reason_at_least(x, -5) == (9,)
+        assert store.lb_reason_at_least(y, 0) == ()
+
+    def test_above_the_current_bound_rejected(self):
+        store, x, _y = self.raised()
+        with pytest.raises(ValueError):
+            store.lb_reason_at_least(x, 12)
+
+    def test_after_undo(self):
+        store, x, _y = self.raised()
+        store.undo(2)
+        assert store.lb_reason_at_least(x, 7) == (2, 3)
+        assert store.lb_reason_at_least(x, 5) == (2, 3)
+        assert store.lb_reason_at_least(x, 4) == (1,)
+        with pytest.raises(ValueError):
+            store.lb_reason_at_least(x, 8)
+        store.undo(0)
+        assert store.lb_reason_at_least(x, 2) == (9,)
+        with pytest.raises(ValueError):
+            store.lb_reason_at_least(x, 3)
