@@ -8,13 +8,13 @@ drives the linter's domain checks and serve admission's work estimate
 grounder-equivalent variable-safety analysis
 (``repro.analysis.safety``), a
 specification/objective validator for the synthesis layer
-(``repro.analysis.spec``), and a platform symmetry analyzer — a
-colored-graph automorphism engine (``repro.analysis.graph``) plus
+(``repro.analysis.spec``), a platform symmetry analyzer with
 lex-leader constraint synthesis over ``bind/2`` atoms
 (``repro.analysis.symmetry``, see ``docs/SYMMETRY.md``), and a
 renaming-invariant specification canonicalizer powering the serving
 layer's result cache (``repro.analysis.canonical``, see
-``docs/SERVING.md``).  Findings are
+``docs/SERVING.md``); both run on the colored-graph engine of
+``repro.graphs``.  Findings are
 structured
 :class:`~repro.analysis.diagnostics.Diagnostic` values suitable for
 text or JSON output and CI gating; see ``docs/LINT.md`` for the rule
@@ -51,7 +51,6 @@ from repro.analysis.domains import (
     analyze_rules,
     canonical_rule,
 )
-from repro.analysis.graph import AutomorphismGroup, ColoredGraph, automorphism_group
 from repro.analysis.linter import RULES, LintConfig, Linter, lint_files, lint_text
 from repro.analysis.safety import SafetyViolation, rule_safety_violations
 from repro.analysis.spec import SPEC_RULES, lint_instance, validate_specification
@@ -61,6 +60,7 @@ from repro.analysis.symmetry import (
     analyze_specification,
     lex_leader_program,
 )
+from repro.graphs import AutomorphismGroup, ColoredGraph, automorphism_group
 
 __all__ = [
     "Diagnostic",

@@ -1,36 +1,31 @@
 """Renaming-invariant canonical forms for specifications.
 
-The serving layer dedups solve requests by *structure*: two
-specifications that differ only in how their tasks, messages, resources
-and links are named (or in the order the fields were listed) describe
-the same design space and have the same Pareto front, so they should
-share one cache entry.  This module computes a canonical certificate of
-the specification's colored graph — vertices for tasks/resources/
-messages/links carrying their numeric attributes, edges for data flow,
-topology and mapping options — via color refinement plus an
-individualize-and-refine search for the lexicographically minimal leaf,
-the textbook canonical-labeling scheme (nauty's skeleton, without the
-automorphism pruning we do not need at specification sizes).
+The serving layer dedups solve requests by *structure*: specifications
+that differ only in the names of their tasks, messages, resources and
+links (or in the order of any listing) describe the same design space,
+so they share one cache entry.  The canonical certificate is that of the
+specification's colored graph — vertices for tasks/resources/messages/
+links colored by their numeric attributes, edges for data flow, topology
+and mapping options — under :meth:`repro.graphs.ColoredGraph.canonical_order`,
+the engine that also finds platform automorphisms for symmetry breaking.
 
-Equal digests therefore imply isomorphic specifications, which implies
+Equal digests therefore imply isomorphic specifications, which imply
 equal Pareto fronts (up to the renaming captured by the returned name
-maps) — the cache can never conflate two specs with different fronts.
-The search is capped at :data:`MAX_LEAVES` leaves; pathological
-instances past the cap fall back to a name-dependent certificate that
-is still collision-free but no longer renaming-invariant
-(``exact=False``), trading cache hits for bounded work, never
-correctness.
-
-Digests use SHA-256 over the certificate text — never Python's
-``hash()``, which is randomized per process.
+maps): the cache never conflates two specs with different fronts.  Past
+:data:`MAX_LEAVES` leaves the search falls back to a name-dependent
+certificate, still collision-free but no longer renaming-invariant
+(``exact=False``): bounded work for fewer cache hits, never a wrong
+front.  Digests are SHA-256 of the certificate text, never Python's
+per-process randomized ``hash()``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
+from repro.graphs import ColoredGraph
 from repro.synthesis.model import Specification
 
 __all__ = [
@@ -42,19 +37,10 @@ __all__ = [
     "remap_front_entry",
 ]
 
-#: Leaf budget for the individualize-and-refine search.  Specifications
-#: need highly regular structure (every task/resource interchangeable)
-#: to come anywhere near it; past the cap we keep the refined coloring
-#: but break ties by name instead of searching.
+#: Leaf budget of the canonical search: only highly regular specs (every
+#: task/resource interchangeable) come near it.  Past it, the refined
+#: coloring's ties break by name instead of searching.
 MAX_LEAVES = 4096
-
-# Edge colors of the specification graph.  Tuples so that attributed
-# edges (mapping options) and plain edges sort side by side.
-_E_SRC = ("src",)  # producing task  -> message
-_E_TGT = ("tgt",)  # message         -> primary target task
-_E_XTGT = ("xtgt",)  # message       -> extra (multicast) target task
-_E_LSRC = ("lsrc",)  # source resource -> link
-_E_LTGT = ("ltgt",)  # link            -> target resource
 
 
 @dataclass(frozen=True)
@@ -78,164 +64,43 @@ class CanonicalSpec:
     link_map: Mapping[str, str]
 
 
-class _LeafBudgetExceeded(Exception):
-    pass
+def _spec_graph(spec: Specification) -> Tuple[ColoredGraph, List[Tuple[str, str]]]:
+    """The colored digraph of ``spec`` and each vertex's ``(kind, name)``.
 
-
-class _Graph:
-    """The colored digraph view of a specification."""
-
-    def __init__(self, spec: Specification) -> None:
-        self.names: List[str] = []
-        self.kinds: List[str] = []  # "T" / "R" / "M" / "L", listing order
-        self.attrs: List[Tuple] = []
-        index: Dict[Tuple[str, str], int] = {}
-
-        def add(kind: str, name: str, attr: Tuple) -> int:
-            vid = len(self.names)
-            self.names.append(name)
-            self.kinds.append(kind)
-            self.attrs.append(attr)
-            index[(kind, name)] = vid
-            return vid
-
-        for task in spec.application.tasks:
-            deadline = -1 if task.deadline is None else task.deadline
-            add("T", task.name, ("T", deadline))
-        for resource in spec.architecture.resources:
-            add("R", resource.name, ("R", resource.cost))
-        for message in spec.application.messages:
-            add("M", message.name, ("M", message.size))
-        for link in spec.architecture.links:
-            add("L", link.name, ("L", link.delay, link.energy))
-
-        n = len(self.names)
-        self.out_edges: List[List[Tuple[Tuple, int]]] = [[] for _ in range(n)]
-        self.in_edges: List[List[Tuple[Tuple, int]]] = [[] for _ in range(n)]
-
-        def edge(src: int, dst: int, color: Tuple) -> None:
-            self.out_edges[src].append((color, dst))
-            self.in_edges[dst].append((color, src))
-
-        for message in spec.application.messages:
-            mid = index[("M", message.name)]
-            edge(index[("T", message.source)], mid, _E_SRC)
-            edge(mid, index[("T", message.target)], _E_TGT)
-            for extra in message.extra_targets:
-                edge(mid, index[("T", extra)], _E_XTGT)
-        for link in spec.architecture.links:
-            lid = index[("L", link.name)]
-            edge(index[("R", link.source)], lid, _E_LSRC)
-            edge(lid, index[("R", link.target)], _E_LTGT)
-        for option in spec.mappings:
-            edge(
-                index[("T", option.task)],
-                index[("R", option.resource)],
-                ("map", option.wcet, option.energy),
-            )
-
-    # -- color refinement --------------------------------------------------
-
-    def initial_colors(self) -> List[int]:
-        ordered = sorted(set(self.attrs))
-        color_of = {attr: i for i, attr in enumerate(ordered)}
-        return [color_of[attr] for attr in self.attrs]
-
-    def refine(self, colors: Sequence[int]) -> List[int]:
-        """1-WL refinement to a stable (equitable) coloring.
-
-        The signature of a vertex embeds its previous color, so each
-        round refines the partition; a round that keeps the cell count
-        is therefore the fixed point.
-        """
-        colors = list(colors)
-        n = len(colors)
-        while True:
-            signatures = []
-            for v in range(n):
-                out_sig = tuple(
-                    sorted((color, colors[u]) for color, u in self.out_edges[v])
-                )
-                in_sig = tuple(
-                    sorted((color, colors[u]) for color, u in self.in_edges[v])
-                )
-                signatures.append((colors[v], out_sig, in_sig))
-            ordered = sorted(set(signatures))
-            relabel = {sig: i for i, sig in enumerate(ordered)}
-            refined = [relabel[sig] for sig in signatures]
-            if len(ordered) == len(set(colors)):
-                return refined
-            colors = refined
-
-    # -- certificates ------------------------------------------------------
-
-    def certificate_for(self, order: Sequence[int]) -> str:
-        """Serialize the graph with vertices renumbered by ``order``."""
-        position = {v: i for i, v in enumerate(order)}
-        rows = []
-        for v in order:
-            out_sig = sorted(
-                (color, position[u]) for color, u in self.out_edges[v]
-            )
-            rows.append((self.attrs[v], tuple(out_sig)))
-        return repr(tuple(rows))
-
-    def canonical_order(
-        self, max_leaves: int
-    ) -> Tuple[List[int], bool]:
-        """Search for the ordering with the minimal certificate.
-
-        Returns ``(order, exact)``; ``exact=False`` means the leaf
-        budget ran out and the order breaks remaining ties by original
-        name (deterministic but not renaming-invariant).
-        """
-        n = len(self.names)
-        stable = self.refine(self.initial_colors())
-        best: List[Optional[str]] = [None]
-        best_order: List[Optional[List[int]]] = [None]
-        leaves = [0]
-
-        def cells_of(colors: Sequence[int]) -> Dict[int, List[int]]:
-            cells: Dict[int, List[int]] = {}
-            for v, color in enumerate(colors):
-                cells.setdefault(color, []).append(v)
-            return cells
-
-        def descend(colors: List[int]) -> None:
-            cells = cells_of(colors)
-            target = None
-            for color in sorted(cells):
-                if len(cells[color]) > 1:
-                    if target is None or len(cells[color]) < len(cells[target]):
-                        target = color
-            if target is None:
-                leaves[0] += 1
-                if leaves[0] > max_leaves:
-                    raise _LeafBudgetExceeded
-                order = sorted(range(n), key=lambda v: colors[v])
-                certificate = self.certificate_for(order)
-                if best[0] is None or certificate < best[0]:
-                    best[0] = certificate
-                    best_order[0] = order
-                return
-            fresh = n  # larger than any refined label (labels < n)
-            for v in cells[target]:
-                branched = list(colors)
-                branched[v] = fresh
-                descend(self.refine(branched))
-
-        try:
-            descend(stable)
-            assert best_order[0] is not None
-            return best_order[0], True
-        except _LeafBudgetExceeded:
-            order = sorted(
-                range(n), key=lambda v: (stable[v], self.attrs[v], self.names[v])
-            )
-            return order, False
-
-
-_CANON_PREFIX = {"T": "t", "R": "r", "M": "m", "L": "l"}
+    Kinds are ``"T"``/``"R"``/``"M"``/``"L"``; within a kind, vertices are
+    listed by name, so the leaf-budget fallback breaks ties by name.
+    """
+    application, architecture = spec.application, spec.architecture
+    entities = (
+        ("T", application.tasks, lambda t: (t.deadline or -1,)),
+        ("R", architecture.resources, lambda r: (r.cost,)),
+        ("M", application.messages, lambda m: (m.size,)),
+        ("L", architecture.links, lambda l: (l.delay, l.energy)),
+    )
+    vertices: List[Tuple[str, str]] = []
+    colors: List[Tuple] = []
+    for kind, items, attributes in entities:
+        for item in sorted(items, key=lambda item: item.name):
+            vertices.append((kind, item.name))
+            colors.append((kind,) + attributes(item))
+    index = {vertex: v for v, vertex in enumerate(vertices)}
+    # Edge colors are tuples, so that the attributed mapping edges and the
+    # plain ones sort side by side.  The model rejects duplicate targets
+    # and duplicate mapping options: no two edges share a vertex pair.
+    edges: Dict[Tuple[int, int], Tuple] = {}
+    for message in application.messages:
+        mid = index["M", message.name]
+        edges[index["T", message.source], mid] = ("src",)
+        edges[mid, index["T", message.target]] = ("tgt",)
+        for extra in message.extra_targets:
+            edges[mid, index["T", extra]] = ("xtgt",)
+    for link in architecture.links:
+        lid = index["L", link.name]
+        edges[index["R", link.source], lid] = ("lsrc",)
+        edges[lid, index["R", link.target]] = ("ltgt",)
+    for o in spec.mappings:
+        edges[index["T", o.task], index["R", o.resource]] = ("map", o.wcet, o.energy)
+    return ColoredGraph(len(vertices), colors, edges), vertices
 
 
 def canonicalize_specification(
@@ -244,21 +109,17 @@ def canonicalize_specification(
     """Canonical certificate + digest + name maps for ``spec``.
 
     Two specifications receive the same digest iff their colored graphs
-    are isomorphic (modulo the :data:`MAX_LEAVES` fallback, which only
-    ever *misses* equivalences, never invents them) — identical design
-    spaces under renaming of tasks, messages, resources and links and
-    reordering of any listing.
+    are isomorphic (past :data:`MAX_LEAVES`, the fallback may miss an
+    isomorphism, never invent one).
     """
-    graph = _Graph(spec)
+    graph, vertices = _spec_graph(spec)
     order, exact = graph.canonical_order(max_leaves)
-    certificate = graph.certificate_for(order)
+    certificate = graph.certificate(order)
     digest = hashlib.sha256(certificate.encode("utf-8")).hexdigest()
     maps: Dict[str, Dict[str, str]] = {"T": {}, "R": {}, "M": {}, "L": {}}
-    counters: Dict[str, int] = {"T": 0, "R": 0, "M": 0, "L": 0}
     for v in order:
-        kind = graph.kinds[v]
-        maps[kind][graph.names[v]] = f"{_CANON_PREFIX[kind]}{counters[kind]}"
-        counters[kind] += 1
+        kind, name = vertices[v]
+        maps[kind][name] = f"{kind.lower()}{len(maps[kind])}"
     return CanonicalSpec(
         digest=digest,
         certificate=certificate,

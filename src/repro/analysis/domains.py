@@ -40,11 +40,10 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.asp import ast
 from repro.asp.grounder import _int_div, _int_mod, evaluate_comparison
 from repro.asp.syntax import Function, Number, String, Symbol
+from repro.graphs import add_edge, condensation
 
 __all__ = [
     "Dom",
@@ -673,19 +672,15 @@ class DomainAnalysis:
     # -- fixpoint -----------------------------------------------------------
 
     def _run_fixpoint(self, views: List[_RuleView]) -> None:
-        graph = nx.DiGraph()
+        graph: Dict[Signature, Dict[Signature, None]] = {}
         for view in views:
             for head_sig in view.head_sigs:
-                graph.add_node(head_sig)
+                graph.setdefault(head_sig, {})
                 for body_sig in view.body_sigs:
-                    graph.add_edge(body_sig, head_sig)
+                    add_edge(graph, body_sig, head_sig)
         for sig in self._externals:
-            graph.add_node(sig)
-        condensation = nx.condensation(graph)
-        for component_id in nx.topological_sort(condensation):
-            members: Set[Signature] = set(
-                condensation.nodes[component_id]["members"]
-            )
+            graph.setdefault(sig, {})
+        for members in condensation(graph):
             component_views = [v for v in views if v.head_sigs & members]
             if not component_views:
                 continue

@@ -44,8 +44,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.analysis import safety
 from repro.analysis.domains import DomainAnalysis, analyze_rules, canonical_rule
 from repro.analysis.diagnostics import (
@@ -59,6 +57,7 @@ from repro.asp import ast
 from repro.asp.grounder import Grounder, evaluate_term
 from repro.asp.parser import ParseError, parse_program
 from repro.asp.syntax import Number
+from repro.graphs import add_edge, strongly_connected_components
 
 __all__ = ["LintConfig", "Linter", "lint_text", "lint_files", "RULES"]
 
@@ -418,23 +417,18 @@ class Linter:
         infos: Sequence[_RuleInfo],
         out: List[Diagnostic],
     ) -> None:
-        graph = nx.DiGraph()
+        graph: Dict[Signature, Dict[Signature, None]] = {}
         negative_edges: Dict[Tuple[Signature, Signature], Optional[ast.Location]] = {}
         positive_edges: Dict[Tuple[Signature, Signature], Optional[ast.Location]] = {}
         for info in infos:
             for head in info.heads:
-                graph.add_node(head)
+                graph.setdefault(head, {})
                 for occ in info.uses:
-                    graph.add_edge(head, occ.signature)
+                    add_edge(graph, head, occ.signature)
                     bucket = negative_edges if occ.negative else positive_edges
                     bucket.setdefault((head, occ.signature), occ.location)
-        component_of: Dict[Signature, int] = {}
-        components: List[Set[Signature]] = []
-        for component in nx.strongly_connected_components(graph):
-            index = len(components)
-            components.append(component)
-            for sig in component:
-                component_of[sig] = index
+        components = strongly_connected_components(graph)
+        component_of = {sig: i for i, members in enumerate(components) for sig in members}
         self._component_of = component_of
 
         for component in components:

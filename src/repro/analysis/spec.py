@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx
-
 from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
 from repro.analysis.linter import LintConfig, Linter
+from repro.graphs import reachable
 
 __all__ = ["SPEC_RULES", "validate_specification", "lint_instance"]
 
@@ -72,7 +71,8 @@ def validate_specification(
     degenerate objectives are reported as well.
     """
     out: List[Diagnostic] = []
-    graph = spec.architecture.graph()
+    out_links = spec.architecture.out_links().items()
+    successors = {name: [link.target for link in links] for name, links in out_links}
 
     # Unmappable tasks.  The Specification constructor rejects these too;
     # the check stays so subclasses or hand-built instances get a
@@ -92,11 +92,7 @@ def validate_specification(
         sources = {o.resource for o in spec.options_of(message.source)}
         for target in message.targets:
             targets = {o.resource for o in spec.options_of(target)}
-            routable = any(
-                a == b or nx.has_path(graph, a, b)
-                for a in sources
-                for b in targets
-            )
+            routable = any(reachable(successors, a) & targets for a in sources)
             if not routable:
                 out.append(
                     _diag(

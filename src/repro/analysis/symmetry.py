@@ -7,7 +7,7 @@ can observe about it (allocation cost plus the exact multiset of
 ``(task, wcet, energy)`` mapping options targeting it), one edge color
 per ordered resource pair carrying the multiset of ``(delay, energy)``
 attributes of the parallel links — and hands it to the
-:mod:`repro.analysis.graph` automorphism engine.  Two resources end up
+:mod:`repro.graphs` automorphism engine.  Two resources end up
 in one orbit only when they are *observationally interchangeable*: a
 platform automorphism ``pi`` maps any feasible implementation to a
 feasible implementation with the *identical* objective vector (latency,
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.graph import AutomorphismGroup, ColoredGraph
+from repro.graphs import AutomorphismGroup, ColoredGraph
 
 __all__ = [
     "PlatformSymmetry",

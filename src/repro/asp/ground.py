@@ -20,8 +20,6 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.asp.grounder import (
     GroundAggregate,
     GroundChoice,
@@ -30,6 +28,7 @@ from repro.asp.grounder import (
     GroundTheoryAtom,
 )
 from repro.asp.syntax import Function
+from repro.graphs import add_edge, strongly_connected_components
 
 __all__ = ["GroundProgram"]
 
@@ -55,15 +54,17 @@ class GroundProgram:
     grounding: Optional[GroundingStatistics] = None
 
     def __post_init__(self) -> None:
-        self._positive_graph: Optional[nx.DiGraph] = None
+        self._positive_graph: Optional[Dict[Function, Dict[Function, None]]] = None
+        self._nontrivial_sccs: Optional[List[FrozenSet[Function]]] = None
 
     # -- serialization -------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        # The dependency graph is a derived cache and can be large;
-        # receivers recompute it on demand.
+        # The dependency graph and its loops are derived caches and can
+        # be large; receivers recompute them on demand.
         state = self.__dict__.copy()
         state["_positive_graph"] = None
+        state["_nontrivial_sccs"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -84,16 +85,15 @@ class GroundProgram:
 
     # -- dependency analysis -------------------------------------------------
 
-    def positive_dependency_graph(self) -> nx.DiGraph:
-        """The positive atom dependency graph (facts excluded)."""
+    def positive_dependency_graph(self) -> Dict[Function, Dict[Function, None]]:
+        """The positive atom dependency graph (facts excluded), as a
+        :mod:`repro.graphs` dict ``atom -> {body atom: None}``."""
         if self._positive_graph is not None:
             return self._positive_graph
-        graph = nx.DiGraph()
-        for atom in sorted(self.possible):
-            if atom not in self.facts:
-                graph.add_node(atom)
+        graph: Dict[Function, Dict[Function, None]] = {
+            atom: {} for atom in sorted(self.possible) if atom not in self.facts
+        }
         for rule in self.rules:
-            heads = self._head_atoms(rule)
             positives = [
                 atom for sign, atom in rule.body if sign == 0 and atom not in self.facts
             ]
@@ -105,34 +105,26 @@ class GroundProgram:
                         if sign == 0 and atom not in self.facts
                     ]
                     for body_atom in positives + extra:
-                        graph.add_edge(head, body_atom)
-            else:
-                for head in heads:
-                    for body_atom in positives:
-                        graph.add_edge(head, body_atom)
+                        add_edge(graph, head, body_atom)
+            elif isinstance(rule.head, Function):
+                for body_atom in positives:
+                    add_edge(graph, rule.head, body_atom)
         self._positive_graph = graph
         return graph
 
-    @staticmethod
-    def _head_atoms(rule: GroundRule) -> List[Function]:
-        if isinstance(rule.head, Function):
-            return [rule.head]
-        if isinstance(rule.head, GroundChoice):
-            return [atom for atom, _cond in rule.head.elements]
-        return []
-
     def nontrivial_sccs(self) -> List[FrozenSet[Function]]:
-        """SCCs of the positive dependency graph with a real cycle."""
+        """SCCs of the positive dependency graph with a real cycle
+        (computed once; :meth:`is_tight` and the unfounded-set check
+        share the list)."""
+        if self._nontrivial_sccs is not None:
+            return self._nontrivial_sccs
         graph = self.positive_dependency_graph()
-        result = []
-        for component in nx.strongly_connected_components(graph):
-            if len(component) > 1:
-                result.append(frozenset(component))
-            else:
-                (atom,) = component
-                if graph.has_edge(atom, atom):
-                    result.append(frozenset(component))
-        return result
+        self._nontrivial_sccs = [
+            frozenset(component)
+            for component in strongly_connected_components(graph)
+            if len(component) > 1 or any(atom in graph[atom] for atom in component)
+        ]
+        return self._nontrivial_sccs
 
     @property
     def is_tight(self) -> bool:

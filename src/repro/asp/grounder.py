@@ -39,10 +39,9 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.asp import ast
 from repro.asp.syntax import Function, Number, String, Symbol
+from repro.graphs import add_edge, condensation
 
 __all__ = [
     "GroundingError",
@@ -1007,37 +1006,33 @@ class Grounder:
         of rule indices or a fact signature, ``signatures`` the
         signature nodes of its component.
         """
-        graph = nx.DiGraph()
+        graph: Dict[Tuple, Dict[Tuple, None]] = {}
         for statement in self._statements:
             if isinstance(statement, int):
                 plan = self._plans[statement]
                 node = ("rule", statement)
-                graph.add_node(node)
+                graph.setdefault(node, {})
                 for sig, _needs_closed in plan.occurrences:
-                    graph.add_edge(node, ("sig", sig))
+                    add_edge(graph, node, ("sig", sig))
                 for sig in plan.head_signatures:
-                    graph.add_edge(("sig", sig), node)
+                    add_edge(graph, ("sig", sig), node)
             else:
                 node = ("facts", statement)
-                graph.add_node(node)
-                graph.add_edge(("sig", statement), node)
-        condensation = nx.condensation(graph)
-        members: Dict[int, List[int]] = {}
-        fact_nodes: Dict[int, Signature] = {}
-        component_sigs: Dict[int, Set[Signature]] = {}
-        for (kind, payload), component in condensation.graph["mapping"].items():
-            if kind == "rule":
-                members.setdefault(component, []).append(payload)
-            elif kind == "facts":
-                fact_nodes[component] = payload
-            else:
-                component_sigs.setdefault(component, set()).add(payload)
+                graph.setdefault(node, {})
+                add_edge(graph, ("sig", statement), node)
         batches: List[Tuple[object, Set[Signature]]] = []
-        for component in reversed(list(nx.topological_sort(condensation))):
-            batch = fact_nodes.get(component)
-            if batch is None:
-                batch = sorted(members.get(component, []))
-            batches.append((batch, component_sigs.get(component, set())))
+        for component in reversed(condensation(graph)):
+            rules: List[int] = []
+            facts: Optional[Signature] = None
+            sigs: Set[Signature] = set()
+            for kind, payload in component:
+                if kind == "rule":
+                    rules.append(payload)
+                elif kind == "facts":
+                    facts = payload
+                else:
+                    sigs.add(payload)
+            batches.append((sorted(rules) if facts is None else facts, sigs))
         return batches
 
     # -- fixpoint ---------------------------------------------------------------

@@ -21,10 +21,8 @@ import random
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.dse.pareto import dominates, pareto_filter
-from repro.synthesis.model import Specification
+from repro.synthesis.model import Link, Specification
 from repro.synthesis.solution import Implementation, recompute_objectives
 from repro.baselines.result import BaselineResult
 
@@ -41,7 +39,7 @@ def shortest_path_routes(
     one so the result stays a feasible route tree.  Returns None when
     some endpoint pair is not connected.
     """
-    graph = spec.architecture.graph()
+    out_links = spec.architecture.out_links()
     routes: Dict[str, List[str]] = {}
     for message in spec.application.messages:
         src = binding[message.source]
@@ -49,7 +47,7 @@ def shortest_path_routes(
         links: List[str] = []
         pending = {binding[t] for t in message.targets} - tree_nodes
         while pending:
-            grown = _grow_tree(graph, tree_nodes, pending)
+            grown = _grow_tree(out_links, tree_nodes, pending)
             if grown is None:
                 return None
             new_links, new_nodes, reached = grown
@@ -60,7 +58,7 @@ def shortest_path_routes(
     return routes
 
 
-def _grow_tree(graph: nx.DiGraph, tree_nodes, targets):
+def _grow_tree(out_links: Dict[str, List[Link]], tree_nodes, targets):
     """Dijkstra from the whole tree to the nearest pending target.
 
     Path interiors avoid existing tree nodes, so attaching the path
@@ -81,10 +79,10 @@ def _grow_tree(graph: nx.DiGraph, tree_nodes, targets):
         if node in targets:
             reached = node
             break
-        for _u, successor, data in graph.out_edges(node, data=True):
+        for link in out_links[node]:
+            successor = link.target
             if successor in tree_nodes:
                 continue
-            link = data["link"]
             candidate = d + link.delay
             if candidate < dist.get(successor, float("inf")):
                 dist[successor] = candidate

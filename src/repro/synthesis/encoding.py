@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.asp.syntax import Function, Number, Symbol
+from repro.graphs import dijkstra_paths
 from repro.synthesis.model import Specification, SpecificationError
 
 __all__ = [
@@ -277,27 +278,22 @@ def _fixed_route_facts(spec: Specification) -> Facts:
 
     Deterministic dimension-free equivalent of XY routing: for every
     ordered resource pair the delay-shortest path (stable tie-break from
-    the construction order) is precomputed; under ``routing="fixed"``
+    the construction order; of parallel links the fastest, the first
+    declared among equals) is precomputed; under ``routing="fixed"``
     messages must follow these paths, removing routing from the design
     space.
     """
-    import networkx as nx
-
-    graph = spec.architecture.graph()
+    out_edges = {
+        resource: [(link.target, link.delay, link) for link in links]
+        for resource, links in spec.architecture.out_links().items()
+    }
     atoms: List[Function] = []
-    for source in graph.nodes:
-        try:
-            paths = nx.single_source_dijkstra_path(
-                graph, source, weight=lambda u, v, d: d["link"].delay
-            )
-        except nx.NetworkXError:  # pragma: no cover - defensive
-            paths = {source: [source]}
-        for target, nodes in sorted(paths.items()):
+    for source in out_edges:
+        for target, route in sorted(dijkstra_paths(out_edges, source).items()):
             if target == source:
                 continue
             atoms.append(_atom("routable", source, target))
-            for a, b in zip(nodes, nodes[1:]):
-                link = graph.edges[a, b]["link"]
+            for link in route:
                 atoms.append(_atom("fixedroute", source, target, link.name))
     return Facts("fixed routing tables", tuple(atoms))
 

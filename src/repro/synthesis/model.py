@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.asp.parser import IDENT
+from repro.graphs import topological_order
 
 __all__ = [
     "Task",
@@ -178,15 +177,17 @@ class Application:
                 )
             if message.source in message.targets:
                 raise SpecificationError(f"message {message.name!r} is a self-loop")
-        if not nx.is_directed_acyclic_graph(self.graph()):
-            raise SpecificationError("application graph has a dependency cycle")
+        try:
+            topological_order(self.graph())
+        except ValueError:
+            raise SpecificationError("application graph has a dependency cycle") from None
 
-    def graph(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(t.name for t in self.tasks)
+    def graph(self) -> Dict[str, Dict[str, None]]:
+        """Task -> {reader task: None}, a :mod:`repro.graphs` digraph."""
+        graph: Dict[str, Dict[str, None]] = {t.name: {} for t in self.tasks}
         for message in self.messages:
             for target in message.targets:
-                graph.add_edge(message.source, target, message=message)
+                graph[message.source][target] = None
         return graph
 
     def task(self, name: str) -> Task:
@@ -215,12 +216,12 @@ class Architecture:
             if link.source not in resource_set or link.target not in resource_set:
                 raise SpecificationError(f"link {link.name!r} references unknown resources")
 
-    def graph(self) -> nx.DiGraph:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(r.name for r in self.resources)
+    def out_links(self) -> Dict[str, List[Link]]:
+        """Resource -> its outgoing links, both in declaration order."""
+        out: Dict[str, List[Link]] = {r.name: [] for r in self.resources}
         for link in self.links:
-            graph.add_edge(link.source, link.target, link=link)
-        return graph
+            out[link.source].append(link)
+        return out
 
     def resource(self, name: str) -> Resource:
         for resource in self.resources:

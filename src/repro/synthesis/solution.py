@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.asp.control import Model
 from repro.asp.syntax import Function
+from repro.graphs import topological_order
 from repro.synthesis.model import Link, Specification
 
 __all__ = ["Implementation", "decode_model", "validate", "recompute_objectives"]
@@ -206,14 +207,12 @@ def recompute_objectives(
         )
     else:
         # Earliest-start schedule via topological order of the task DAG.
-        import networkx as nx
-
         incoming: Dict[str, List] = {}
         for message in spec.application.messages:
             for target in message.targets:
                 incoming.setdefault(target, []).append(message)
         start: Dict[str, int] = {}
-        for task in nx.topological_sort(spec.application.graph()):
+        for task in topological_order(spec.application.graph()):
             earliest = 0
             for message in incoming.get(task, ()):
                 delay = sum(

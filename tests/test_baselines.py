@@ -8,8 +8,19 @@ from repro.baselines import (
     nsga2_front,
     solution_level_front,
 )
+from repro.baselines.nsga2 import shortest_path_routes
 from repro.dse.pareto import weakly_dominates
 from repro.synthesis.encoding import encode
+from repro.synthesis.model import (
+    Application,
+    Architecture,
+    Link,
+    MappingOption,
+    Message,
+    Resource,
+    Specification,
+    Task,
+)
 from repro.workloads import WorkloadConfig, generate_specification, suite
 from repro.workloads.curated import CURATED_NAMES, curated
 
@@ -139,6 +150,22 @@ class TestNsga2:
         a = nsga2_front(spec, generations=5, seed=7)
         b = nsga2_front(spec, generations=5, seed=7)
         assert a.vectors() == b.vectors()
+
+    def test_parallel_links_route_over_the_fastest(self):
+        links = (
+            Link("fast", "r1", "r2", delay=1),
+            Link("slow", "r1", "r2", delay=9),
+            Link("back", "r2", "r1"),
+        )
+        spec = Specification(
+            Application((Task("a"), Task("b")), (Message("m", "a", "b"),)),
+            Architecture((Resource("r1"), Resource("r2")), links),
+            (
+                MappingOption("a", "r1", wcet=2, energy=2),
+                MappingOption("b", "r2", wcet=2, energy=2),
+            ),
+        )
+        assert shortest_path_routes(spec, {"a": "r1", "b": "r2"}) == {"m": ["fast"]}
 
     def test_marked_inexact(self):
         spec = generate_specification(WorkloadConfig(tasks=4, seed=0))

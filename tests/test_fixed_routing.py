@@ -41,6 +41,24 @@ def diamond_spec():
     return Specification(app, Architecture(resources, links), mappings)
 
 
+def parallel_links_spec():
+    """Two parallel links r1->r2: ``fast`` (delay 1) and ``slow`` (delay 9)."""
+    app = Application(
+        tasks=(Task("a"), Task("b")), messages=(Message("m", "a", "b"),)
+    )
+    links = (
+        Link("fast", "r1", "r2", delay=1),
+        Link("slow", "r1", "r2", delay=9),
+        Link("back", "r2", "r1"),
+    )
+    resources = (Resource("r1", cost=1), Resource("r2", cost=1))
+    mappings = (
+        MappingOption("a", "r1", wcet=2, energy=2),
+        MappingOption("b", "r2", wcet=2, energy=2),
+    )
+    return Specification(app, Architecture(resources, links), mappings)
+
+
 def solve_impls(spec, **encode_kwargs):
     instance = encode(spec, **encode_kwargs)
     ctl = Control()
@@ -63,6 +81,14 @@ class TestFixedRouting:
         impls = solve_impls(diamond_spec(), routing="fixed")
         assert len(impls) == 1
         assert impls[0].routes["m"] == ["u1", "u2"]
+
+    def test_parallel_links_route_over_the_fastest(self):
+        spec = parallel_links_spec()
+        impls = solve_impls(spec, routing="fixed")
+        assert [impl.routes["m"] for impl in impls] == [["fast"]]
+        fixed = exhaustive_front(encode(spec, routing="fixed", symmetry="off"))
+        free = exhaustive_front(encode(spec, routing="free", symmetry="off"))
+        assert fixed.vectors() == free.vectors()
 
     def test_free_routing_explores_both(self):
         impls = solve_impls(diamond_spec(), routing="free")

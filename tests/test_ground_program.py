@@ -16,24 +16,25 @@ class TestDependencyGraph:
     def test_edges_follow_positive_bodies(self):
         program = build("{a}. b :- a. c :- b, not a.")
         graph = program.positive_dependency_graph()
-        assert graph.has_edge(parse_term("b"), parse_term("a"))
-        assert graph.has_edge(parse_term("c"), parse_term("b"))
+        assert parse_term("a") in graph[parse_term("b")]
+        assert parse_term("b") in graph[parse_term("c")]
         # Negative literals do not create positive dependencies.
-        assert not graph.has_edge(parse_term("c"), parse_term("a"))
+        assert parse_term("a") not in graph[parse_term("c")]
 
     def test_facts_excluded(self):
         program = build("f. b :- f, c. {c}.")
         graph = program.positive_dependency_graph()
-        assert parse_term("f") not in graph.nodes
+        assert parse_term("f") not in graph
 
     def test_choice_conditions_are_dependencies(self):
         program = build("{x}. d :- x. { sel(1) : d }.")
         graph = program.positive_dependency_graph()
-        assert graph.has_edge(parse_term("sel(1)"), parse_term("d"))
+        assert parse_term("d") in graph[parse_term("sel(1)")]
 
     def test_graph_cached(self):
         program = build("{a}. b :- a.")
         assert program.positive_dependency_graph() is program.positive_dependency_graph()
+        assert program.nontrivial_sccs() is program.nontrivial_sccs()
 
 
 class TestTightness:

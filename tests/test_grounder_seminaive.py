@@ -287,9 +287,10 @@ class TestGroundProgramArtifact:
 
     def test_dependency_graph_cache_not_shipped(self):
         program = ground_text(self.TEXT, cache=False)
-        program.positive_dependency_graph()  # populate the cache
+        program.nontrivial_sccs()  # populate both caches
         clone = GroundProgram.from_bytes(program.to_bytes())
         assert clone._positive_graph is None
+        assert clone._nontrivial_sccs is None
         assert clone.is_tight == program.is_tight  # recomputed on demand
 
     def test_from_bytes_rejects_foreign_payloads(self):

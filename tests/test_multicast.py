@@ -66,8 +66,8 @@ class TestModel:
     def test_graph_has_edge_per_target(self):
         spec = multicast_spec()
         graph = spec.application.graph()
-        assert ("p", "c1") in graph.edges
-        assert ("p", "c2") in graph.edges
+        assert "c1" in graph["p"]
+        assert "c2" in graph["p"]
 
 
 class TestEncoding:

@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.graph import ColoredGraph, automorphism_group, orbits_of
 from repro.analysis.spec import lint_instance
 from repro.analysis.symmetry import analyze_specification, lex_leader_program
 from repro.asp.control import Control
 from repro.dse.explorer import ExactParetoExplorer, explore
 from repro.dse.parallel import ParallelParetoExplorer
+from repro.graphs import ColoredGraph, automorphism_group, orbits_of
 from repro.synthesis.encoding import encode
 from repro.theory.linear import LinearPropagator
 from repro.workloads.curated import curated

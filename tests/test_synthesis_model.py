@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.graphs import strongly_connected_components
 from repro.synthesis.model import (
     Application,
     Architecture,
@@ -14,6 +15,14 @@ from repro.synthesis.model import (
     Task,
 )
 from repro.synthesis.platforms import TILE_CLASSES, bus, heterogeneous_resources, mesh, ring
+
+
+def strongly_connected(arch):
+    graph = {
+        name: [link.target for link in links]
+        for name, links in arch.out_links().items()
+    }
+    return len(strongly_connected_components(graph)) == 1
 
 
 def tiny_spec():
@@ -139,8 +148,9 @@ class TestDerivedViews:
 
     def test_graphs(self):
         spec = tiny_spec()
-        assert set(spec.application.graph().edges) == {("a", "b")}
-        assert ("r1", "r2") in spec.architecture.graph().edges
+        graph = spec.application.graph()
+        assert {(u, v) for u in graph for v in graph[u]} == {("a", "b")}
+        assert "r2" in [link.target for link in spec.architecture.out_links()["r1"]]
 
 
 class TestPlatforms:
@@ -151,10 +161,7 @@ class TestPlatforms:
         assert len(arch.links) == 2 * ((3 - 1) * 2 + (2 - 1) * 3)
 
     def test_mesh_is_strongly_connected(self):
-        import networkx as nx
-
-        arch = mesh(3, 3, seed=1)
-        assert nx.is_strongly_connected(arch.graph())
+        assert strongly_connected(mesh(3, 3, seed=1))
 
     def test_bus_star_topology(self):
         arch = bus(4, seed=0)
@@ -163,10 +170,8 @@ class TestPlatforms:
         assert len(arch.links) == 8
 
     def test_ring_cycle(self):
-        import networkx as nx
-
         arch = ring(5, seed=0)
-        assert nx.is_strongly_connected(arch.graph())
+        assert strongly_connected(arch)
         assert len(arch.links) == 5
 
     def test_heterogeneous_deterministic(self):
