@@ -306,11 +306,6 @@ class FlatSolver:
         arena.extend(lits)
         return ref
 
-    def _clause_lits(self, ref: int) -> List[int]:
-        """The literals of ``ref`` (copies; used off the hot path)."""
-        arena = self._arena
-        return arena[ref + 1 : ref + 1 + arena[ref]]
-
     def clause_db_bytes(self) -> int:
         """Bytes held by the clause arena at 4 bytes per int slot
         (including not-yet-collected garbage; the arena is compacted on

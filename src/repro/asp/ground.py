@@ -17,11 +17,10 @@ re-grounding.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.asp.grounder import (
-    GroundAggregate,
     GroundChoice,
     GroundingStatistics,
     GroundRule,

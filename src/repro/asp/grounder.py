@@ -40,7 +40,7 @@ from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.asp import ast
-from repro.asp.syntax import Function, Number, String, Symbol
+from repro.asp.syntax import Function, Number, Symbol
 from repro.graphs import add_edge, condensation
 
 __all__ = [

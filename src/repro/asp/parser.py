@@ -171,15 +171,6 @@ class _Parser:
             )
         return token
 
-    def _error(self, message: str) -> ParseError:
-        token = self._peek()
-        return ParseError(
-            message + f", got {token.value!r}",
-            token.line,
-            token.column,
-            token=token.value,
-        )
-
     @staticmethod
     def _loc(token: Token) -> ast.Location:
         return ast.Location(token.line, token.column)

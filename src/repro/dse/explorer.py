@@ -38,7 +38,7 @@ from repro.synthesis.model import Specification
 from repro.synthesis.solution import Implementation, decode_model, validate
 from repro.dse.pareto import ListArchive, non_dominated_union
 from repro.dse.quadtree import QuadTreeArchive
-from repro.dse.scheduler import ArchiveDelta, CubeScheduler
+from repro.dse.scheduler import CubeScheduler
 from repro.theory.difference import DifferenceLogicPropagator
 from repro.theory.linear import LinearPropagator
 from repro.theory.objective import IntVarObjective, Objective, PseudoBooleanObjective
@@ -140,10 +140,6 @@ class DominancePropagator(TheoryPropagator):
         )
         self._cache_revision = revision
         return self._bound_cache
-
-    def value_vector(self, solver: FlatSolver) -> Tuple[int, ...]:
-        """Exact objective vector on a total assignment."""
-        return tuple(objective.value(solver) for objective in self.objectives)
 
     def _prune(self, solver: FlatSolver, total: bool) -> bool:
         started = perf_counter()
@@ -805,10 +801,8 @@ class ExactParetoExplorer:
         self._models_mark = self.models_enumerated
         self.cubes_executed = 0
         self.interrupted = False
-        scheduler = CubeScheduler([self._fixed_bindings], 1)
-        cancelled = drive(
-            [self], scheduler, on_points=on_points, should_stop=should_stop
-        )
+        scheduler = CubeScheduler([self._fixed_bindings], 1, on_points=on_points)
+        cancelled = drive([self], scheduler, should_stop=should_stop)
         return merge_run(
             self.instance,
             self.control,
@@ -847,44 +841,31 @@ class ExactParetoExplorer:
 def drive(
     workers: Sequence[ExactParetoExplorer],
     scheduler: CubeScheduler,
-    share_archive: bool = True,
     resplit_conflicts: Optional[int] = None,
-    on_points=None,
     should_stop=None,
 ) -> bool:
-    """The exploration loop over in-process workers; True when cancelled.
+    """The exploration loop; True when cancelled.
 
     Workers take cubes from ``scheduler`` and are stepped round-robin,
     one solver call at a time, until every cube is exhausted or every
-    worker has spent its conflict budget.  New points are buffered per
-    worker and published in batches: to the scheduler's priorities, to
-    ``on_points``, and (with ``share_archive``) into every other
-    worker's archive before its next call.  A cube that spends
-    ``resplit_conflicts`` without closing is handed back and split one
-    binding level deeper.  ``should_stop`` is polled before every round;
-    a truthy value flushes the buffers and drops every cube.
+    worker has spent its conflict budget.  Before each call a worker
+    injects the points other workers published for it; new points are
+    buffered per worker and published to the scheduler in batches.  A
+    cube that spends ``resplit_conflicts`` without closing is handed
+    back and split one binding level deeper.  ``should_stop`` is polled
+    before every round; a truthy value flushes the buffers and drops
+    every cube.
+
+    The sequential explorer and the inline backend run it against a
+    :class:`CubeScheduler`; each process worker runs it with its one
+    explorer against a proxy of the parent's scheduler.
     """
-    jobs = len(workers)
-    pending: List[List[Tuple[int, ...]]] = [[] for _worker in workers]
     buffers: List[List[Tuple[int, ...]]] = [[] for _worker in workers]
-    halted = set()
 
     def flush(wid: int) -> None:
-        batch = buffers[wid]
-        if not batch:
-            return
-        if jobs > 1:
-            # Serialize even inline so archive_delta_bytes measures the
-            # real wire cost of the protocol.
-            workers[wid].delta_bytes += len(ArchiveDelta(batch).to_bytes())
-        scheduler.observe(batch)
-        if on_points is not None:
-            on_points(list(batch))
-        if share_archive:
-            for other in range(jobs):
-                if other != wid and other not in halted:
-                    pending[other].extend(batch)
-        buffers[wid] = []
+        if buffers[wid]:
+            workers[wid].delta_bytes += scheduler.publish(wid, buffers[wid])
+            buffers[wid] = []
 
     for wid, worker in enumerate(workers):
         cube = scheduler.next_cube(wid)
@@ -898,11 +879,11 @@ def drive(
             return True
         progressed = False
         for wid, worker in enumerate(workers):
-            if wid in halted:
+            if wid in scheduler.halted:
                 continue
-            if pending[wid]:
-                worker.inject_points((vector, None) for vector in pending[wid])
-                pending[wid] = []
+            foreign = scheduler.foreign(wid)
+            if foreign:
+                worker.inject_points((vector, None) for vector in foreign)
             if worker.current is None:
                 cube = scheduler.next_cube(wid)
                 if cube is None:
@@ -916,7 +897,7 @@ def drive(
                     continue
             flush(wid)
             if status == "halt":
-                halted.add(wid)
+                scheduler.halt(wid)
             elif (
                 status == "chunk"
                 and resplit_conflicts

@@ -21,12 +21,12 @@ __all__ = ["hypervolume", "additive_epsilon", "front_coverage"]
 Vector = Tuple[int, ...]
 
 
-def hypervolume(front: Sequence[Sequence[int]], reference: Sequence[int]) -> float:
+def hypervolume(front: Sequence[Sequence[int]], reference: Sequence[int]) -> int:
     """Hypervolume of ``front`` w.r.t. ``reference`` (minimization).
 
     Points not strictly better than the reference in every dimension
-    contribute nothing.  Exact; suitable for the small fronts of the
-    evaluation (dimension-sweep recursion).
+    contribute nothing.  Exact (an int); suitable for the small fronts of
+    the evaluation (dimension-sweep recursion).
     """
     reference = tuple(reference)
     points = [
@@ -35,17 +35,17 @@ def hypervolume(front: Sequence[Sequence[int]], reference: Sequence[int]) -> flo
         if all(x < r for x, r in zip(p, reference))
     ]
     if not points:
-        return 0.0
+        return 0
     return _hv(sorted(set(points)), reference)
 
 
-def _hv(points: List[Vector], reference: Vector) -> float:
+def _hv(points: List[Vector], reference: Vector) -> int:
     """Dimension-sweep: slice along the first objective."""
     if len(reference) == 1:
-        return float(reference[0] - min(p[0] for p in points))
+        return reference[0] - min(p[0] for p in points)
     # Sort by the first coordinate; sweep slabs between successive values.
     points = sorted(points)
-    total = 0.0
+    total = 0
     seen: List[Vector] = []
     for index, point in enumerate(points):
         upper = points[index + 1][0] if index + 1 < len(points) else reference[0]

@@ -60,7 +60,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.asp.control import Control
 from repro.asp.ground import GroundProgram
 from repro.dse.explorer import (
-    DELTA_BATCH,
     DseResult,
     ExactParetoExplorer,
     check_pins,
@@ -166,93 +165,105 @@ def derive_cubes(
     return cubes
 
 
+class _RemoteScheduler:
+    """A process worker's view of the parent's :class:`CubeScheduler`.
+
+    It implements the calls :func:`~repro.dse.explorer.drive` makes on
+    its scheduler over two queues; ``worker`` arguments are the loop's
+    index of its one explorer and are not sent.  Worker to parent:
+
+    * ``("next", wid)`` — idle; asks for a cube,
+    * ``("delta", wid, blob)`` — publishes new points (an :class:`ArchiveDelta`),
+    * ``("resplit", wid, cube)`` — hands an over-budget cube back,
+    * ``("halt", wid)`` — the worker spent its conflict budget,
+    * ``("done", wid, front, entry)`` — the loop ended; the worker's
+      local front and ``per_worker`` entry,
+    * ``("error", wid, traceback)`` — the worker failed.
+
+    Parent to worker:
+
+    * ``("cube", bindings)`` — the answer to ``next``,
+    * ``("stop",)`` — the answer to ``next`` once no cube is left,
+    * ``("delta", blob)`` — points other workers published,
+    * ``("cancel",)`` — the run is cancelled.
+
+    :meth:`next_cube` blocks until its answer arrives; :meth:`poll`, the
+    loop's ``should_stop``, collects deltas and a cancel without blocking.
+    """
+
+    def __init__(self, wid: int, branch_tasks: Sequence[str], commands, results):
+        self.wid = wid
+        self.halted = set()
+        self._branch_tasks = branch_tasks
+        self._commands = commands
+        self._results = results
+        self._foreign: List[Tuple[int, ...]] = []
+        self._ended: Optional[str] = None  # "stop" or "cancel"
+
+    def _receive(self, command) -> None:
+        if command[0] == "delta":
+            self._foreign.extend(ArchiveDelta.from_bytes(command[1]))
+        else:
+            self._ended = command[0]
+
+    def next_cube(self, worker: int) -> Optional[Dict[str, str]]:
+        if self._ended is None:
+            self._results.put(("next", self.wid))
+        while self._ended is None:
+            command = self._commands.get()
+            if command[0] == "cube":
+                return command[1]
+            self._receive(command)
+        return None
+
+    def poll(self) -> bool:
+        while True:
+            try:
+                self._receive(self._commands.get_nowait())
+            except queue.Empty:
+                return self._ended == "cancel"
+
+    def foreign(self, worker: int) -> List[Tuple[int, ...]]:
+        points, self._foreign = self._foreign, []
+        return points
+
+    def publish(self, worker: int, batch: Sequence[Tuple[int, ...]]) -> int:
+        blob = ArchiveDelta(batch).to_bytes()
+        self._results.put(("delta", self.wid, blob))
+        return len(blob)
+
+    def splittable(self, bindings: Dict[str, str]) -> bool:
+        return any(task not in bindings for task in self._branch_tasks)
+
+    def resplit(self, worker: int, bindings: Dict[str, str]) -> None:
+        self._results.put(("resplit", self.wid, bindings))
+
+    def halt(self, worker: int) -> None:
+        self.halted.add(worker)
+        self._results.put(("halt", self.wid))
+
+
 def _worker_main(
     worker_id: int,
     instance: EncodedInstance,
     explorer_options: Dict[str, object],
     resplit_conflicts: Optional[int],
     branch_tasks: Sequence[str],
-    share: bool,
     command_queue,
     result_queue,
     ground_blob: bytes,
 ) -> None:
-    """Process entry point: execute cubes the parent hands over.
-
-    Commands: ``("cube", bindings)`` begins a cube, ``("delta", blob)``
-    injects a foreign archive delta, ``("cancel",)`` abandons the
-    current cube and ends the loop (cooperative cancellation),
-    ``("stop",)`` ends the loop once the current cube finishes.
-    Results: ``("delta", wid, blob)`` publishes new points,
-    ``("next", wid)`` requests another cube, ``("resplit", wid, cube)``
-    hands an over-budget cube back, ``("halt", wid)`` reports an
-    exhausted conflict budget, ``("done", wid, front, entry)`` closes
-    the worker with its local front and ``per_worker`` entry.
-    """
+    """Process entry point: the exploration loop against the parent."""
     try:
         explorer = ExactParetoExplorer(
             instance,
             ground_program=GroundProgram.from_bytes(ground_blob),
             **explorer_options,
         )
-        buffer: List[Tuple[int, ...]] = []
-        stopping = False
-
-        def flush() -> None:
-            if buffer:
-                blob = ArchiveDelta(buffer).to_bytes()
-                explorer.delta_bytes += len(blob)
-                result_queue.put(("delta", worker_id, blob))
-                del buffer[:]
-
-        while True:
-            block = explorer.current is None and not stopping
-            while True:
-                try:
-                    if block:
-                        command = command_queue.get(timeout=0.05)
-                        block = False
-                    else:
-                        command = command_queue.get_nowait()
-                except queue.Empty:
-                    break
-                kind = command[0]
-                if kind == "cube":
-                    explorer.begin(command[1])
-                elif kind == "delta":
-                    if share:
-                        explorer.inject_points(
-                            (vector, None)
-                            for vector in ArchiveDelta.from_bytes(command[1])
-                        )
-                elif kind == "cancel":
-                    # Its points so far are already flushed or buffered.
-                    explorer.cancel()
-                    stopping = True
-                else:  # "stop"
-                    stopping = True
-            if explorer.current is None:
-                if stopping:
-                    break
-                continue
-            status, point = explorer.step()
-            if status == "model":
-                buffer.append(point.vector)
-                if len(buffer) < DELTA_BATCH:
-                    continue
-            flush()
-            if status == "cube_done":
-                result_queue.put(("next", worker_id))
-            elif status == "halt":
-                result_queue.put(("halt", worker_id))
-            elif (
-                status == "chunk"
-                and resplit_conflicts
-                and explorer.cube_conflicts() >= resplit_conflicts
-                and any(task not in explorer.current for task in branch_tasks)
-            ):
-                result_queue.put(("resplit", worker_id, explorer.abandon()))
-        flush()
+        remote = _RemoteScheduler(
+            worker_id, branch_tasks, command_queue, result_queue
+        )
+        drive([explorer], remote, resplit_conflicts, remote.poll)
         result_queue.put(
             ("done", worker_id, explorer.local_front(), explorer.report(worker_id))
         )
@@ -268,16 +279,15 @@ class ParallelParetoExplorer:
     (witness implementations per vector may differ, as in any exact
     enumerator).  One job *is* the sequential explorer: it explores the
     root cube in-process with no split and no re-splits, because one
-    worker has no one to hand work to.  Several jobs run on one of two
-    backends:
+    worker has no one to hand work to.  Several jobs run the loop a
+    sequential run uses (:func:`~repro.dse.explorer.drive`) against one
+    :class:`~repro.dse.scheduler.CubeScheduler`, on one of two backends:
 
     * ``"process"`` (default) — one OS process per worker
-      (``multiprocessing``); the parent hosts the cube scheduler and
-      brokers cube dispatch and archive deltas over queues;
-    * ``"inline"`` — deterministic in-process round-robin over the same
-      workers and the same scheduler (:func:`~repro.dse.explorer.drive`,
-      the loop a sequential run uses); useful for debugging and
-      reproducible tests.
+      (``multiprocessing``), each running the loop with its one
+      explorer; the parent serves the scheduler over queues;
+    * ``"inline"`` — one loop steps every worker round-robin in-process;
+      deterministic, for debugging and reproducible tests.
 
     Idle workers steal cubes from the busiest deque, queues follow the
     hypervolume priorities, and a cube re-splits after
@@ -334,9 +344,8 @@ class ParallelParetoExplorer:
         """Run the exploration; returns the merged exact front.
 
         ``on_points`` is the anytime snapshot hook of the serving
-        layer: it is called (in the coordinating process/loop) with
-        every batch of newly published objective vectors, i.e. exactly
-        the :class:`ArchiveDelta` increments the workers exchange.
+        layer: it is called (in the coordinating process) with every
+        batch of objective vectors a worker publishes.
         ``should_stop`` is polled between scheduling steps; returning a
         truthy value cancels the run cooperatively — workers abandon
         their cubes within one solver call, partial fronts are merged,
@@ -355,7 +364,12 @@ class ParallelParetoExplorer:
         options.setdefault("chunk_conflicts", DEFAULT_CHUNK_CONFLICTS)
         choices = binding_choices(self.instance.specification, self.fixed_bindings)
         scheduler = CubeScheduler(
-            cubes, jobs, choices=choices, objectives=self.instance.objectives
+            cubes,
+            jobs,
+            choices=choices,
+            objectives=self.instance.objectives,
+            share_archive=self.share_archive,
+            on_points=on_points,
         )
         # The one grounding step: the workers reuse the artifact instead
         # of re-instantiating the same program each.
@@ -368,12 +382,7 @@ class ParallelParetoExplorer:
                 for _worker in range(jobs)
             ]
             cancelled = drive(
-                workers,
-                scheduler,
-                self.share_archive,
-                self.resplit_conflicts,
-                on_points,
-                should_stop,
+                workers, scheduler, self.resplit_conflicts, should_stop
             )
             reports = [
                 (worker.local_front(), worker.report(wid))
@@ -382,7 +391,7 @@ class ParallelParetoExplorer:
         else:
             branch_tasks = tuple(task for task, _options in choices)
             cancelled, reports = self._run_processes(
-                scheduler, jobs, ground, options, branch_tasks, on_points, should_stop
+                scheduler, jobs, ground, options, branch_tasks, should_stop
             )
         return merge_run(
             self.instance,
@@ -401,12 +410,15 @@ class ParallelParetoExplorer:
         ground: GroundProgram,
         options: Dict[str, object],
         branch_tasks: Tuple[str, ...],
-        on_points=None,
         should_stop=None,
     ):
-        """One process per worker; the parent schedules and brokers.
+        """One process per worker; the parent serves the scheduler.
 
-        Returns ``(cancelled, reports)`` with reports in worker order.
+        Each worker runs :func:`~repro.dse.explorer.drive` against a
+        :class:`_RemoteScheduler`, whose docstring lists the messages.
+        A worker that asks for a cube and gets none is parked; once every
+        worker is parked or halted, the parked ones are stopped.  Returns
+        ``(cancelled, reports)`` with reports in worker order.
         """
         import multiprocessing
 
@@ -428,7 +440,6 @@ class ParallelParetoExplorer:
                     options,
                     self.resplit_conflicts,
                     branch_tasks,
-                    self.share_archive,
                     command_queues[wid],
                     result_queue,
                     ground_blob,
@@ -440,104 +451,63 @@ class ParallelParetoExplorer:
         for process in processes:
             process.start()
 
-        pending = set(range(jobs))
         reports: Dict[int, Tuple[list, Dict[str, object]]] = {}
-        executing = [False] * jobs
-        waiting = set()
-        stopped = set()
-        halted = set()
+        parked: List[int] = []
         cancelled = False
-
-        def dispatch(wid: int) -> None:
-            if wid in stopped:
-                return
-            cube = scheduler.next_cube(wid)
-            if cube is not None:
-                command_queues[wid].put(("cube", cube))
-                executing[wid] = True
-            else:
-                waiting.add(wid)
-
-        def fill_waiting() -> None:
-            # Re-splits refill the deques after workers went idle; hand
-            # the new cubes out instead of letting them starve.
-            for wid in sorted(waiting):
-                if scheduler.outstanding() == 0:
-                    break
-                waiting.discard(wid)
-                dispatch(wid)
-
-        def maybe_stop() -> None:
-            if any(executing):
-                return
-            active = [wid for wid in range(jobs) if wid not in halted]
-            if scheduler.outstanding() and active:
-                return
-            for wid in range(jobs):
-                if wid not in stopped:
-                    command_queues[wid].put(("stop",))
-                    stopped.add(wid)
-
-        for wid in range(jobs):
-            dispatch(wid)
-        maybe_stop()
         try:
-            while pending:
+            while len(reports) < jobs:
                 if not cancelled and should_stop is not None and should_stop():
                     cancelled = True
+                    parked.clear()  # every worker ends on its ("cancel",)
                     for wid in range(jobs):
-                        if wid not in stopped:
+                        if wid not in reports:
                             command_queues[wid].put(("cancel",))
-                            stopped.add(wid)
                 try:
                     timeout = 0.1 if should_stop is not None else 1.0
                     message = result_queue.get(timeout=timeout)
                 except queue.Empty:
-                    for wid in pending:
-                        if not processes[wid].is_alive():
+                    for wid, process in enumerate(processes):
+                        if wid not in reports and not process.is_alive():
                             raise RuntimeError(
                                 f"parallel DSE worker {wid} died "
-                                f"(exit code {processes[wid].exitcode})"
+                                f"(exit code {process.exitcode})"
                             )
                     continue
                 kind, wid = message[0], message[1]
-                if kind == "delta":
-                    blob = message[2]
-                    vectors = ArchiveDelta.from_bytes(blob).vectors
-                    scheduler.observe(vectors)
-                    if on_points is not None:
-                        on_points(list(vectors))
-                    if self.share_archive and not cancelled:
-                        for other in pending:
-                            if other != wid and other not in stopped:
-                                command_queues[other].put(("delta", blob))
-                    # Fresh priorities may not add cubes, so no refill.
-                elif kind == "next":
-                    executing[wid] = False
-                    dispatch(wid)
-                    fill_waiting()
-                    maybe_stop()
+                if kind == "next":
+                    if not cancelled:
+                        # The asking worker first, then the other parked
+                        # ones (a re-split may have refilled the deques).
+                        parked.insert(0, wid)
+                        for waiting in list(parked):
+                            cube = scheduler.next_cube(waiting)
+                            if cube is not None:
+                                parked.remove(waiting)
+                                command_queues[waiting].put(("cube", cube))
+                elif kind == "delta":
+                    vectors = ArchiveDelta.from_bytes(message[2]).vectors
+                    scheduler.publish(wid, vectors)
+                    for other in range(jobs):
+                        points = scheduler.foreign(other)
+                        if points and not cancelled:
+                            blob = ArchiveDelta(points).to_bytes()
+                            command_queues[other].put(("delta", blob))
                 elif kind == "resplit":
-                    executing[wid] = False
-                    if not cancelled:  # else the worker is winding down
-                        scheduler.resplit(wid, message[2])
-                        dispatch(wid)
-                    fill_waiting()
-                    maybe_stop()
-                elif kind == "halt":
-                    executing[wid] = False
-                    halted.add(wid)
-                    command_queues[wid].put(("stop",))
-                    stopped.add(wid)
-                    fill_waiting()
-                    maybe_stop()
-                elif kind == "done":
-                    reports[wid] = (message[2], message[3])
-                    pending.discard(wid)
+                    scheduler.resplit(wid, message[2])
+                elif kind in ("halt", "done"):
+                    scheduler.halt(wid)
+                    if kind == "done":
+                        reports[wid] = (message[2], message[3])
                 else:  # "error"
                     raise RuntimeError(
                         f"parallel DSE worker {wid} failed:\n{message[2]}"
                     )
+                if parked and all(
+                    w in parked or w in scheduler.halted for w in range(jobs)
+                ):
+                    for waiting in parked:
+                        command_queues[waiting].put(("stop",))
+                    parked.clear()
         finally:
             for process in processes:
                 if process.is_alive():

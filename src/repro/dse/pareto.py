@@ -12,9 +12,10 @@ pairwise comparisons so the benchmark harness can contrast them
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Generic, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+
+from repro.dse.indicators import hypervolume
 
 __all__ = [
     "dominates",
@@ -68,32 +69,6 @@ def non_dominated_union(
     return pareto_filter(chain.from_iterable(fronts))
 
 
-def _union_volume(
-    corners: List[Vector], lower: Vector, upper: Vector
-) -> int:
-    """Volume inside ``[lower, upper)`` of the union of the upward-closed
-    boxes ``[corner, upper)``.
-
-    Corners must already be clipped into the box.  Recursive dimension
-    sweep: slice the last axis at every corner coordinate; within a slab
-    the active corners are those at or below it, and the covered area is
-    the same union one dimension down.  Exact for any dimension; the
-    practical cost is ``O(n^d)`` for ``n`` pareto-minimal corners, which
-    is cheap for the 2-3 objectives and small archives of the DSE.
-    """
-    if not corners:
-        return 0
-    if len(lower) == 1:
-        return upper[0] - min(corner[0] for corner in corners)
-    cuts = sorted({corner[-1] for corner in corners})
-    total = 0
-    for index, cut in enumerate(cuts):
-        top = cuts[index + 1] if index + 1 < len(cuts) else upper[-1]
-        active = [corner[:-1] for corner in corners if corner[-1] <= cut]
-        total += (top - cut) * _union_volume(active, lower[:-1], upper[:-1])
-    return total
-
-
 def hypervolume_box(
     lower: Sequence[int],
     upper: Sequence[int],
@@ -107,31 +82,16 @@ def hypervolume_box(
     contribute to the current archive — fat, unexplored objective regions
     first.  Exact (no sampling), deterministic, and monotone: adding
     archive points never increases the value.  Returns 0 for an empty or
-    fully dominated box.
+    fully dominated box.  The dominated part is the hypervolume of the
+    points clipped up into the box (:func:`~repro.dse.indicators.hypervolume`).
     """
-    lower = tuple(lower)
-    upper = tuple(upper)
     box = 1
     for low, up in zip(lower, upper):
         if up <= low:
             return 0
         box *= up - low
-    clipped: List[Vector] = []
-    for point in points:
-        corner = tuple(max(p, low) for p, low in zip(point, lower))
-        if all(c < up for c, up in zip(corner, upper)):
-            clipped.append(corner)
-    # Only pareto-minimal corners shape the union.
-    minimal = [
-        corner
-        for corner in set(clipped)
-        if not any(
-            other != corner and weakly_dominates(other, corner)
-            for other in clipped
-        )
-    ]
-    minimal.sort()
-    return box - _union_volume(minimal, lower, upper)
+    corners = [tuple(max(p, low) for p, low in zip(point, lower)) for point in points]
+    return box - hypervolume(corners, upper)
 
 
 class ListArchive(Generic[Payload]):

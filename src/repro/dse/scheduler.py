@@ -19,11 +19,12 @@ one hard cube routinely idles every other worker.  The scheduler here is
    budget without closing is split one binding level deeper and its
    children are returned to the deque, so no single cube can occupy a
    worker for the whole run.
-4. **Archive deltas** — workers exchange *increments* of new
-   non-dominated points (:class:`ArchiveDelta`, a compact struct-packed
-   batch of objective vectors) instead of re-publishing whole archives;
-   the same byte-level protocol works over multiprocessing queues today
-   and over sockets for multi-node sharding next.
+4. **Archive deltas** — workers publish *increments* of new
+   non-dominated points through :meth:`CubeScheduler.publish`, which
+   relays each batch to every other worker (:meth:`CubeScheduler.foreign`)
+   instead of re-publishing whole archives; across processes a batch
+   travels as an :class:`ArchiveDelta`, a compact struct-packed batch of
+   objective vectors.
 
 None of this touches exactness: scheduling decisions only change *when*
 dominance pruning happens, never *what* the merged front contains.  A
@@ -37,7 +38,7 @@ every combination (property-tested in ``tests/test_parallel.py``).
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dse.pareto import dominates, hypervolume_box, weakly_dominates
 from repro.synthesis.encoding import ObjectiveSpec
@@ -70,8 +71,8 @@ class ArchiveDelta:
 
     Wire format (little-endian): ``<II`` header with the point count and
     the objective dimension, then one ``<q`` per component, row-major.
-    8 bytes + 8·n·d total — workers exchange these increments instead of
-    whole archives, and the parent re-broadcasts the blob untouched.
+    8 bytes + 8·n·d total — process workers exchange these increments
+    instead of whole archives.
     """
 
     __slots__ = ("vectors",)
@@ -187,9 +188,11 @@ class _QueuedCube:
 
 
 class CubeScheduler:
-    """Per-worker cube deques with stealing, priorities, and re-splits.
+    """The coordinator of the exploration loop (:func:`~repro.dse.explorer.drive`).
 
-    The scheduler is the single source of truth for cube ownership.  It
+    It hands out cubes from per-worker deques (with stealing, priorities
+    and re-splits) and relays published points between workers.  The
+    scheduler is the single source of truth for cube ownership.  It
     lives in the coordinating process (the inline loop or the process
     backend's parent); workers only ever hold the one cube they are
     executing, so stealing and re-prioritisation never race with a
@@ -203,8 +206,12 @@ class CubeScheduler:
         jobs: int,
         choices: Sequence[Tuple[str, List[str]]] = (),
         objectives: Sequence[ObjectiveSpec] = (),
+        share_archive: bool = True,
+        on_points=None,
     ):
         self.jobs = jobs
+        self.share_archive = share_archive
+        self.on_points = on_points
         self._choices = [(task, list(options)) for task, options in choices]
         self._profiles = [_ObjectiveProfile(spec) for spec in objectives]
         self._sequence = 0
@@ -216,6 +223,9 @@ class CubeScheduler:
         self._archive: List[Tuple[int, ...]] = []
         self._revision = 0
         self._sorted_revision = [-1] * jobs
+        self._foreign: List[List[Tuple[int, ...]]] = [[] for _worker in range(jobs)]
+        #: Workers that spent their budget or finished (see :meth:`halt`).
+        self.halted: Set[int] = set()
         #: Telemetry the parent merges into the run statistics.
         self.steals = [0] * jobs
         self.resplits = 0
@@ -250,10 +260,6 @@ class CubeScheduler:
         # Stable + sequence tie-break keeps the order deterministic.
         queue.sort(key=lambda cube: (-cube.priority, cube.sequence))
         self._sorted_revision[worker] = self._revision
-
-    def outstanding(self) -> int:
-        """Cubes still queued (not counting any a worker is executing)."""
-        return sum(len(queue) for queue in self._queues)
 
     def queue_sizes(self) -> List[int]:
         return [len(queue) for queue in self._queues]
@@ -318,7 +324,36 @@ class CubeScheduler:
                 return len(children)
         return 0
 
+    def halt(self, worker: int) -> None:
+        """Mark ``worker`` done (budget spent or finished): no more points."""
+        self.halted.add(worker)
+
     # -- archive feedback --------------------------------------------------------
+
+    def publish(self, worker: int, batch: Sequence[Tuple[int, ...]]) -> int:
+        """Relay ``worker``'s new points; returns the batch's wire size.
+
+        The points feed the priorities (:meth:`observe`) and
+        ``on_points``; with ``share_archive`` they are queued for every
+        other worker that has not halted.  The wire size is the batch's
+        as an :class:`ArchiveDelta`, 0 with one worker (no one to
+        publish to).
+        """
+        self.observe(batch)
+        if self.on_points is not None:
+            self.on_points(list(batch))
+        if self.share_archive:
+            for other in range(self.jobs):
+                if other != worker and other not in self.halted:
+                    self._foreign[other].extend(batch)
+        if self.jobs == 1:
+            return 0
+        return len(ArchiveDelta(batch).to_bytes())
+
+    def foreign(self, worker: int) -> List[Tuple[int, ...]]:
+        """Return and clear the points queued for ``worker``."""
+        points, self._foreign[worker] = self._foreign[worker], []
+        return points
 
     def observe(self, vectors: Iterable[Sequence[int]]) -> None:
         """Fold freshly published points into the priority archive.

@@ -10,7 +10,7 @@ direct implementation of the problem semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.asp.control import Model
 from repro.asp.syntax import Function

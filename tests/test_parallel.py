@@ -7,6 +7,11 @@ archive-sharing mode, and re-split budget.
 """
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +25,10 @@ from repro.dse.parallel import (
     binding_choices,
     derive_cubes,
 )
+from repro.dse.pareto import dominates
 from repro.dse.scheduler import MAX_STEALING_CUBES, TARGET_CUBE_FACTOR
 from repro.synthesis.encoding import encode
+from repro.synthesis.solution import recompute_objectives, validate
 from repro.workloads.curated import CURATED_NAMES, curated
 
 
@@ -441,6 +448,144 @@ class TestArchiveSharing:
         # ... and idle workers steal at four workers.
         if jobs == 4:
             assert work[False][2] > 0 and work[True][2] > 0
+
+    @pytest.mark.parametrize("hash_seed", ("0", "12345"))
+    def test_inline_work_ignores_the_hash_seed(self, hash_seed):
+        script = (
+            "import json\n"
+            "from repro.dse.parallel import ParallelParetoExplorer\n"
+            "from repro.synthesis.encoding import encode\n"
+            "from repro.workloads.curated import curated\n"
+            "work = []\n"
+            "for share in (False, True):\n"
+            "    stats = ParallelParetoExplorer(\n"
+            "        encode(curated('consumer_jpeg')), jobs=4,\n"
+            "        backend='inline', share_archive=share,\n"
+            "    ).run().statistics\n"
+            "    work.append(\n"
+            "        [stats.models_enumerated, stats.conflicts, stats.steals]\n"
+            "    )\n"
+            "print(json.dumps(work))\n"
+        )
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (source, env.get("PYTHONPATH")))
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        isolated, shared = json.loads(completed.stdout)
+        assert (tuple(isolated), tuple(shared)) == SHARING_WORK[
+            "consumer_jpeg", 4
+        ]
+
+
+class TestProcessPaths:
+    """The process backend's budget, cancel, re-split and fault paths.
+
+    Every run must leave no worker process behind.
+    """
+
+    def test_budget_halts_every_worker(self):
+        stats = (
+            ParallelParetoExplorer(
+                encode(curated("network_firewall")), jobs=2, conflict_limit=300
+            )
+            .run()
+            .statistics
+        )
+        assert stats.interrupted
+        assert len(stats.per_worker) == 2
+        for entry in stats.per_worker:
+            assert entry["interrupted"]
+            assert entry["conflicts"] <= 300
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("polls", (1, 3))
+    def test_cancel_returns_sound_streamed_points(self, polls):
+        spec = curated("network_firewall")
+        instance = encode(spec)
+        streamed = set()
+        asked = []
+
+        def should_stop():
+            asked.append(None)
+            return len(asked) > polls
+
+        result = ParallelParetoExplorer(instance, jobs=2).run(
+            on_points=lambda batch: streamed.update(map(tuple, batch)),
+            should_stop=should_stop,
+        )
+        assert result.statistics.interrupted
+        vectors = result.vectors()
+        assert not any(dominates(a, b) for a in vectors for b in vectors)
+        for point in result.front:
+            implementation = point.implementation
+            assert validate(
+                spec,
+                implementation,
+                serialized=instance.serialize,
+                link_contention=instance.link_contention,
+            ) == []
+            recomputed = recompute_objectives(spec, implementation)
+            assert tuple(recomputed[name] for name in result.objectives) == (
+                point.vector
+            )
+        assert set(vectors) <= streamed
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("share", (True, False))
+    def test_resplits_stay_exact(self, share, sequential_fronts):
+        result = ParallelParetoExplorer(
+            encode(curated("network_firewall")),
+            jobs=2,
+            split_depth=1,
+            chunk_conflicts=25,
+            resplit_conflicts=50,
+            share_archive=share,
+        ).run()
+        stats = result.statistics
+        assert not stats.interrupted
+        assert stats.resplits > 0
+        assert stats.cubes_executed > len(
+            derive_cubes(curated("network_firewall"), 1)
+        )
+        # The parent relays points only between sharing workers.
+        injected = sum(entry["injected"] for entry in stats.per_worker)
+        assert (injected > 0) == share
+        assert result.vectors() == sequential_fronts["network_firewall"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched step reaches the workers only by fork",
+    )
+    @pytest.mark.parametrize("fault", ("raise", "exit"))
+    def test_worker_fault_aborts_the_run(self, fault, monkeypatch):
+        # The workers are forked, so each inherits the patched step and
+        # a fresh count: every worker fails on its fourth solver call.
+        step = ExactParetoExplorer.step
+        calls = []
+
+        def faulty(self):
+            calls.append(None)
+            if len(calls) > 3:
+                if fault == "raise":
+                    raise ValueError("injected fault")
+                os._exit(7)
+            return step(self)
+
+        monkeypatch.setattr(ExactParetoExplorer, "step", faulty)
+        expected = "injected fault" if fault == "raise" else r"died \(exit code 7\)"
+        with pytest.raises(RuntimeError, match=expected):
+            ParallelParetoExplorer(encode(curated("network_firewall")), jobs=2).run()
+        assert multiprocessing.active_children() == []
 
 
 class TestConflictBudget:

@@ -133,7 +133,7 @@ class TestScheduling:
     def test_resplit_children_partition_the_parent(self):
         scheduler, _cubes = _scheduler(jobs=1, depth=1)
         parent = scheduler.next_cube(0)
-        before = scheduler.outstanding()
+        before = sum(scheduler.queue_sizes())
         spec = curated("consumer_jpeg")
         choices = binding_choices(spec)
         task, options = next(
@@ -141,7 +141,7 @@ class TestScheduling:
         )
         children = scheduler.resplit(0, parent)
         assert children == len(options)
-        assert scheduler.outstanding() == before + children
+        assert sum(scheduler.queue_sizes()) == before + children
         assert scheduler.resplits == 1
         got = []
         while True:
@@ -167,3 +167,23 @@ class TestScheduling:
             ParallelParetoExplorer(instance, jobs=0)
         with pytest.raises(ValueError, match="backend"):
             ParallelParetoExplorer(instance, backend="threads")
+
+
+class TestRelay:
+    """The scheduler relays published points between workers."""
+
+    def test_publish_queues_points_for_the_other_running_workers(self):
+        streamed = []
+        scheduler = CubeScheduler([{}], 3, on_points=streamed.append)
+        scheduler.halt(2)
+        assert scheduler.publish(0, [(1, 2, 3)]) == 8 + 3 * 8  # wire size
+        assert streamed == [[(1, 2, 3)]]
+        assert scheduler.foreign(1) == [(1, 2, 3)]
+        assert scheduler.foreign(1) == []  # handed out once
+        assert scheduler.foreign(0) == scheduler.foreign(2) == []
+
+    def test_isolated_and_lone_workers_receive_nothing(self):
+        isolated = CubeScheduler([{}], 2, share_archive=False)
+        assert isolated.publish(0, [(1, 2)]) == 8 + 2 * 8
+        assert isolated.foreign(1) == []
+        assert CubeScheduler([{}], 1).publish(0, [(1, 2)]) == 0
