@@ -395,8 +395,6 @@ def eval_term(term: ast.Term, env: Dict[str, Dom]) -> Dom:
     if isinstance(term, ast.SymbolTerm):
         return Dom.finite((term.symbol,))
     if isinstance(term, ast.Variable):
-        if term.name == "_":
-            return TOP
         return env.get(term.name, TOP)
     if isinstance(term, ast.FunctionTerm):
         if not term.arguments:
@@ -452,24 +450,6 @@ def eval_term(term: ast.Term, env: Dict[str, Dom]) -> Dom:
             out_dom = out_dom.join(eval_term(option, env))
         return out_dom
     return TOP
-
-
-def _term_is_ground(term: ast.Term) -> bool:
-    if isinstance(term, ast.Variable):
-        return False
-    if isinstance(term, ast.SymbolTerm):
-        return True
-    if isinstance(term, ast.FunctionTerm):
-        return all(_term_is_ground(a) for a in term.arguments)
-    if isinstance(term, ast.BinaryTerm):
-        return _term_is_ground(term.lhs) and _term_is_ground(term.rhs)
-    if isinstance(term, ast.UnaryTerm):
-        return _term_is_ground(term.argument)
-    if isinstance(term, ast.IntervalTerm):
-        return _term_is_ground(term.lower) and _term_is_ground(term.upper)
-    if isinstance(term, ast.PoolTerm):
-        return all(_term_is_ground(o) for o in term.options)
-    return True
 
 
 _NEGATED_OP = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
@@ -600,38 +580,24 @@ class _RuleView:
         #: ``(effective_op, lhs, rhs, location)`` — the op already
         #: accounts for default negation.
         self.comparisons: List[Tuple[str, ast.Term, ast.Term, object]] = []
-        self.body_sigs: Set[Signature] = set()
         for item in rule.body:
-            if isinstance(item, ast.Literal):
-                if isinstance(item.atom, ast.FunctionTerm):
-                    self.body_sigs.add((item.atom.name, len(item.atom.arguments)))
-                    if item.sign == 0:
-                        self.positives.append(item)
-                elif isinstance(item.atom, ast.Comparison):
-                    op = item.atom.op
-                    if item.sign == 1:
-                        op = _NEGATED_OP[op]
-                    self.comparisons.append(
-                        (op, item.atom.lhs, item.atom.rhs, item.location)
-                    )
-            elif isinstance(item, ast.Aggregate):
-                for element in item.elements:
-                    for lit in element.condition:
-                        if isinstance(lit.atom, ast.FunctionTerm):
-                            self.body_sigs.add(
-                                (lit.atom.name, len(lit.atom.arguments))
-                            )
+            if not isinstance(item, ast.Literal):
+                continue
+            atom = item.atom
+            if isinstance(atom, ast.Comparison):
+                op = _NEGATED_OP[atom.op] if item.sign == 1 else atom.op
+                self.comparisons.append((op, atom.lhs, atom.rhs, item.location))
+            elif item.sign == 0:
+                self.positives.append(item)
+        #: Every signature the rule reads.  Theory-element conditions
+        #: count too; they only occur in rules with no head signature,
+        #: which add no dependency edge.
+        self.body_sigs: Set[Signature] = {
+            (literal.atom.name, len(literal.atom.arguments))
+            for literal, _in_condition in ast.occurrences(rule)
+        }
         #: ``(atom, condition)`` pairs the rule can derive.
-        self.heads: List[Tuple[ast.FunctionTerm, Tuple[ast.Literal, ...]]] = []
-        head = rule.head
-        if isinstance(head, ast.FunctionTerm):
-            self.heads.append((head, ()))
-        elif isinstance(head, ast.ChoiceHead):
-            for element in head.elements:
-                self.heads.append((element.atom, element.condition))
-                for lit in element.condition:
-                    if isinstance(lit.atom, ast.FunctionTerm):
-                        self.body_sigs.add((lit.atom.name, len(lit.atom.arguments)))
+        self.heads = ast.head_atoms(rule)
 
     @property
     def head_sigs(self) -> Set[Signature]:
@@ -817,17 +783,6 @@ class DomainAnalysis:
                 for position, argument in enumerate(atom.arguments):
                     dom = self._position(sig, position)
                     if isinstance(argument, ast.Variable):
-                        if argument.name == "_":
-                            if dom.is_empty:
-                                if record:
-                                    self.dead[view.index] = DeadRule(
-                                        "empty",
-                                        f"{atom.name}/{len(atom.arguments)} "
-                                        f"argument {position + 1} has an empty domain",
-                                        literal.location,
-                                    )
-                                return None
-                            continue
                         current = env.get(argument.name, TOP)
                         refined = current.meet(dom)
                         if refined.is_empty:
@@ -862,7 +817,7 @@ class DomainAnalysis:
                         if refined != current:
                             env[argument.name] = refined
                             changed = True
-                    elif _term_is_ground(argument):
+                    elif not ast.term_variables(argument, set()):
                         value = eval_term(argument, {})
                         if value.meet(dom).is_empty:
                             if record:
@@ -900,10 +855,10 @@ class DomainAnalysis:
                     return None
                 if status is True:
                     continue
-                if isinstance(lhs, ast.Variable) and lhs.name != "_":
+                if isinstance(lhs, ast.Variable):
                     if _refine_comparison(op, lhs.name, eval_term(rhs, env), env):
                         changed = True
-                if isinstance(rhs, ast.Variable) and rhs.name != "_":
+                if isinstance(rhs, ast.Variable):
                     if _refine_comparison(
                         _MIRROR_OP[op], rhs.name, eval_term(lhs, env), env
                     ):
@@ -925,7 +880,7 @@ class DomainAnalysis:
                 sig = (atom.name, len(atom.arguments))
                 for position, argument in enumerate(atom.arguments):
                     dom = self._position(sig, position)
-                    if isinstance(argument, ast.Variable) and argument.name != "_":
+                    if isinstance(argument, ast.Variable):
                         refined = env.get(argument.name, TOP).meet(dom)
                         if refined.is_empty:
                             return "empty"
@@ -986,10 +941,7 @@ class DomainAnalysis:
             size = self.signature_estimate(sig)
             if size is None:
                 return None
-            variables: Set[str] = set()
-            for argument in item.atom.arguments:
-                _collect_variables(argument, variables)
-            estimates.append((max(size, 1.0), variables))
+            estimates.append((max(size, 1.0), ast.literal_variables(item)))
         if not estimates:
             return 1.0
         estimates.sort(key=lambda pair: pair[0])
@@ -1007,26 +959,6 @@ class DomainAnalysis:
         return total
 
 
-def _collect_variables(term: ast.Term, out: Set[str]) -> None:
-    if isinstance(term, ast.Variable):
-        if term.name != "_":
-            out.add(term.name)
-    elif isinstance(term, ast.FunctionTerm):
-        for argument in term.arguments:
-            _collect_variables(argument, out)
-    elif isinstance(term, ast.BinaryTerm):
-        _collect_variables(term.lhs, out)
-        _collect_variables(term.rhs, out)
-    elif isinstance(term, ast.UnaryTerm):
-        _collect_variables(term.argument, out)
-    elif isinstance(term, ast.IntervalTerm):
-        _collect_variables(term.lower, out)
-        _collect_variables(term.upper, out)
-    elif isinstance(term, ast.PoolTerm):
-        for option in term.options:
-            _collect_variables(option, out)
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
@@ -1041,12 +973,8 @@ def analyze_rules(rules: Sequence[ast.Rule], externals=()) -> DomainAnalysis:
 def analyze_program(program: ast.Program) -> DomainAnalysis:
     """Analyze a parsed program (applies ``#const`` substitution first,
     mirroring the grounder)."""
-    from repro.asp.grounder import Grounder
-
-    rules = [
-        Grounder._substitute_constants(rule, program.constants)
-        for rule in program.rules
-    ]
+    constants = program.constants
+    rules = [ast.substitute_constants(rule, constants) for rule in program.rules]
     return DomainAnalysis(rules, program.externals)
 
 
@@ -1055,109 +983,18 @@ def analyze_program(program: ast.Program) -> DomainAnalysis:
 # ---------------------------------------------------------------------------
 
 
-def _rename_term(term: ast.Term, mapping: Dict[str, str]) -> ast.Term:
-    if isinstance(term, ast.Variable):
-        if term.name == "_":
-            return term
-        if term.name not in mapping:
-            mapping[term.name] = f"V{len(mapping)}"
-        return ast.Variable(mapping[term.name])
-    if isinstance(term, ast.FunctionTerm):
-        return ast.FunctionTerm(
-            term.name, tuple(_rename_term(a, mapping) for a in term.arguments)
-        )
-    if isinstance(term, ast.BinaryTerm):
-        return ast.BinaryTerm(
-            term.op, _rename_term(term.lhs, mapping), _rename_term(term.rhs, mapping)
-        )
-    if isinstance(term, ast.UnaryTerm):
-        return ast.UnaryTerm(term.op, _rename_term(term.argument, mapping))
-    if isinstance(term, ast.IntervalTerm):
-        return ast.IntervalTerm(
-            _rename_term(term.lower, mapping), _rename_term(term.upper, mapping)
-        )
-    if isinstance(term, ast.PoolTerm):
-        return ast.PoolTerm(tuple(_rename_term(o, mapping) for o in term.options))
-    return term
-
-
-def _rename_literal(literal: ast.Literal, mapping: Dict[str, str]) -> ast.Literal:
-    atom = literal.atom
-    if isinstance(atom, ast.FunctionTerm):
-        renamed = _rename_term(atom, mapping)
-    else:
-        renamed = ast.Comparison(
-            atom.op, _rename_term(atom.lhs, mapping), _rename_term(atom.rhs, mapping)
-        )
-    return ast.Literal(literal.sign, renamed)
-
-
-def _rename_body_item(item: ast.BodyItem, mapping: Dict[str, str]) -> ast.BodyItem:
-    if isinstance(item, ast.Literal):
-        return _rename_literal(item, mapping)
-    guards = []
-    for guard in (item.left_guard, item.right_guard):
-        guards.append(
-            None if guard is None else (guard[0], _rename_term(guard[1], mapping))
-        )
-    return ast.Aggregate(
-        item.sign,
-        item.function,
-        tuple(
-            ast.AggregateElement(
-                tuple(_rename_term(t, mapping) for t in element.terms),
-                tuple(_rename_literal(c, mapping) for c in element.condition),
-            )
-            for element in item.elements
-        ),
-        guards[0],
-        guards[1],
-    )
-
-
-def _rename_head(head: ast.Head, mapping: Dict[str, str]) -> ast.Head:
-    if head is None:
-        return None
-    if isinstance(head, ast.FunctionTerm):
-        return _rename_term(head, mapping)
-    if isinstance(head, ast.ChoiceHead):
-        return ast.ChoiceHead(
-            tuple(
-                ast.ChoiceElement(
-                    _rename_term(element.atom, mapping),
-                    tuple(_rename_literal(c, mapping) for c in element.condition),
-                )
-                for element in head.elements
-            ),
-            None if head.lower is None else _rename_term(head.lower, mapping),
-            None if head.upper is None else _rename_term(head.upper, mapping),
-        )
-    if isinstance(head, ast.TheoryAtom):
-        return ast.TheoryAtom(
-            head.name,
-            tuple(_rename_term(a, mapping) for a in head.arguments),
-            tuple(
-                ast.TheoryElement(
-                    tuple(_rename_term(t, mapping) for t in element.terms),
-                    tuple(_rename_literal(c, mapping) for c in element.condition),
-                )
-                for element in head.elements
-            ),
-            None
-            if head.guard is None
-            else (head.guard[0], _rename_term(head.guard[1], mapping)),
-        )
-    return head
-
-
 def canonical_rule(rule: ast.Rule) -> str:
     """A canonical string for ``rule`` with variables renamed to
     ``V0, V1, ...`` in order of first occurrence (head first, then
     body, left to right).  Two rules are syntactic duplicates iff their
     canonical strings are equal."""
-    mapping: Dict[str, str] = {}
-    renamed = ast.Rule(
-        _rename_head(rule.head, mapping),
-        tuple(_rename_body_item(item, mapping) for item in rule.body),
-    )
-    return str(renamed)
+    mapping: Dict[str, ast.Variable] = {}
+
+    def rename(term: ast.Term) -> ast.Term:
+        if not isinstance(term, ast.Variable):
+            return term
+        if term.name not in mapping:
+            mapping[term.name] = ast.Variable(f"V{len(mapping)}")
+        return mapping[term.name]
+
+    return str(ast.map_terms(rule, rename))

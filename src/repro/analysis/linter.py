@@ -40,7 +40,7 @@ defects that still ground, *infos* are structural observations.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -54,7 +54,7 @@ from repro.analysis.diagnostics import (
     filter_suppressed,
 )
 from repro.asp import ast
-from repro.asp.grounder import Grounder, evaluate_term
+from repro.asp.grounder import evaluate_term
 from repro.asp.parser import ParseError, parse_program
 from repro.asp.syntax import Number
 from repro.graphs import add_edge, strongly_connected_components
@@ -161,8 +161,8 @@ class _Occurrence:
 @dataclass
 class _RuleInfo:
     rule: ast.Rule
-    heads: List[Signature] = field(default_factory=list)
-    uses: List[_Occurrence] = field(default_factory=list)
+    heads: List[Signature]
+    uses: List[_Occurrence]
 
 
 def _signature(atom: ast.FunctionTerm) -> Signature:
@@ -170,42 +170,22 @@ def _signature(atom: ast.FunctionTerm) -> Signature:
 
 
 def _collect(program: ast.Program) -> List[_RuleInfo]:
-    infos: List[_RuleInfo] = []
-    for rule in program.rules:
-        info = _RuleInfo(rule)
-
-        def use(literal: ast.Literal, needs_closed: bool) -> None:
-            if isinstance(literal.atom, ast.FunctionTerm):
-                info.uses.append(
-                    _Occurrence(
-                        _signature(literal.atom),
-                        literal.location or rule.location,
-                        literal.sign != 0,
-                        needs_closed,
-                    )
+    return [
+        _RuleInfo(
+            rule,
+            [_signature(atom) for atom, _condition in ast.head_atoms(rule)],
+            [
+                _Occurrence(
+                    _signature(literal.atom),
+                    literal.location or rule.location,
+                    literal.sign != 0,
+                    in_condition,
                 )
-
-        for item in rule.body:
-            if isinstance(item, ast.Literal):
-                use(item, needs_closed=False)
-            else:
-                for element in item.elements:
-                    for condition in element.condition:
-                        use(condition, needs_closed=True)
-        head = rule.head
-        if isinstance(head, ast.FunctionTerm):
-            info.heads.append(_signature(head))
-        elif isinstance(head, ast.ChoiceHead):
-            for element in head.elements:
-                info.heads.append(_signature(element.atom))
-                for condition in element.condition:
-                    use(condition, needs_closed=True)
-        elif isinstance(head, ast.TheoryAtom):
-            for element in head.elements:
-                for condition in element.condition:
-                    use(condition, needs_closed=True)
-        infos.append(info)
-    return infos
+                for literal, in_condition in ast.occurrences(rule)
+            ],
+        )
+        for rule in program.rules
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +237,7 @@ class Linter:
         self._filename = filename
         # Lint what the grounder sees: #const-substituted rules.
         rules = [
-            Grounder._substitute_constants(rule, program.constants)
+            ast.substitute_constants(rule, program.constants)
             for rule in program.rules
         ]
         program = ast.Program(
@@ -429,7 +409,6 @@ class Linter:
                     bucket.setdefault((head, occ.signature), occ.location)
         components = strongly_connected_components(graph)
         component_of = {sig: i for i, members in enumerate(components) for sig in members}
-        self._component_of = component_of
 
         for component in components:
             internal_neg = [
@@ -597,7 +576,7 @@ class Linter:
             if not element.terms:
                 continue
             weight = element.terms[0]
-            if not safety.term_variables(weight) and _ground_non_number(weight):
+            if not ast.term_variables(weight, set()) and _ground_non_number(weight):
                 self._emit(
                     out,
                     "malformed-theory-atom",
@@ -815,7 +794,7 @@ def _head_multiplier(head: ast.FunctionTerm) -> float:
     """Interval/pool expansion of ground head arguments (``p(1..n, X)``)."""
     size = 1.0
     for argument in head.arguments:
-        if not safety.term_variables(argument):
+        if not ast.term_variables(argument, set()):
             size *= _term_instances(argument)
     return size
 
@@ -838,11 +817,11 @@ def _join_estimate(
         best_index = 0
         best_new = None
         for index, literal in enumerate(remaining):
-            new = len(safety.term_variables(_literal_term(literal)) - bound)
+            new = len(ast.literal_variables(literal) - bound)
             if best_new is None or new < best_new:
                 best_index, best_new = index, new
         literal = remaining.pop(best_index)
-        variables = safety.term_variables(_literal_term(literal))
+        variables = ast.literal_variables(literal)
         new = variables - bound
         if isinstance(literal.atom, ast.Comparison):
             if new:
@@ -859,12 +838,6 @@ def _join_estimate(
         bound |= variables
         total = min(total, _ESTIMATE_CAP)
     return total
-
-
-def _literal_term(literal: ast.Literal):
-    if isinstance(literal.atom, ast.Comparison):
-        return ast.FunctionTerm("", (literal.atom.lhs, literal.atom.rhs))
-    return literal.atom
 
 
 def _rule_join_estimate(

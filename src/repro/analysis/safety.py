@@ -1,7 +1,9 @@
 """Static variable-safety analysis over the non-ground AST.
 
 Mirrors the grounder's matching semantics (:mod:`repro.asp.grounder`)
-without importing it: positive body atoms bind the variables in plain
+without importing it; both take the binder test and the split of an
+atom's variables into matched and evaluated ones from the traversal in
+:mod:`repro.asp.ast`.  Positive body atoms bind the variables in plain
 (matchable) argument positions, and positive ``X = term`` equalities act
 as generators once the value side is bound — including intervals,
 ``X = 1..n``.  Every other occurrence must be covered by those binders:
@@ -23,7 +25,7 @@ check in :class:`repro.asp.grounder.Grounder` only rejects fatal ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.asp import ast
 
@@ -45,54 +47,6 @@ def display_name(variable: str) -> str:
     return "_" if variable.startswith("_Anon") else variable
 
 
-def _term_variables(term: ast.Term, out: Set[str]) -> None:
-    if isinstance(term, ast.Variable):
-        out.add(term.name)
-    elif isinstance(term, ast.FunctionTerm):
-        for argument in term.arguments:
-            _term_variables(argument, out)
-    elif isinstance(term, ast.BinaryTerm):
-        _term_variables(term.lhs, out)
-        _term_variables(term.rhs, out)
-    elif isinstance(term, ast.UnaryTerm):
-        _term_variables(term.argument, out)
-    elif isinstance(term, ast.IntervalTerm):
-        _term_variables(term.lower, out)
-        _term_variables(term.upper, out)
-    elif isinstance(term, ast.PoolTerm):
-        for option in term.options:
-            _term_variables(option, out)
-
-
-def term_variables(term: ast.Term) -> Set[str]:
-    out: Set[str] = set()
-    _term_variables(term, out)
-    return out
-
-
-def _matchable_variables(term: ast.Term, out: Set[str]) -> None:
-    """Variables in plain argument positions — bound by matching a positive
-    atom.  Variables under arithmetic/interval/pool operators can only be
-    evaluated, never inverted, so they do not count."""
-    if isinstance(term, ast.Variable):
-        out.add(term.name)
-    elif isinstance(term, ast.FunctionTerm):
-        for argument in term.arguments:
-            _matchable_variables(argument, out)
-
-
-def _is_binder(literal: ast.Literal) -> bool:
-    return (
-        literal.sign == 0
-        and isinstance(literal.atom, ast.Comparison)
-        and literal.atom.op == "="
-        and (
-            isinstance(literal.atom.lhs, ast.Variable)
-            or isinstance(literal.atom.rhs, ast.Variable)
-        )
-    )
-
-
 def bindable_variables(
     positives: Iterable[ast.Literal], initial: Set[str] = frozenset()
 ) -> Set[str]:
@@ -108,20 +62,20 @@ def bindable_variables(
                 continue
             atom = literal.atom
             if isinstance(atom, ast.Comparison):
-                if not _is_binder(literal):
+                if not ast.is_binder(literal):
                     continue
                 lhs, rhs = atom.lhs, atom.rhs
                 for variable, value in ((lhs, rhs), (rhs, lhs)):
                     if (
                         isinstance(variable, ast.Variable)
                         and variable.name not in safe
-                        and term_variables(value) <= safe
+                        and ast.term_variables(value, set()) <= safe
                     ):
                         safe.add(variable.name)
                         changed = True
             else:
                 before = len(safe)
-                _matchable_variables(atom, safe)
+                ast.match_variables(atom, safe, set())
                 if len(safe) != before:
                     changed = True
     return safe
@@ -133,7 +87,7 @@ def _uncovered(
     out: Set[str] = set()
     terms = term_or_terms if isinstance(term_or_terms, (tuple, list)) else (term_or_terms,)
     for term in terms:
-        _term_variables(term, out)
+        ast.term_variables(term, out)
     return out - safe
 
 
@@ -176,7 +130,7 @@ def _check_condition(
     for literal in condition:
         if literal.sign == 0 and not isinstance(literal.atom, ast.Comparison):
             continue
-        if _is_binder(literal):
+        if ast.is_binder(literal):
             unresolved = _uncovered(
                 [literal.atom.lhs, literal.atom.rhs], local
             )
@@ -214,7 +168,7 @@ def rule_safety_violations(rule: ast.Rule) -> List[SafetyViolation]:
         atom = literal.atom
         if literal.sign == 0 and not isinstance(atom, ast.Comparison):
             continue
-        if _is_binder(literal):
+        if ast.is_binder(literal):
             unresolved = _uncovered([atom.lhs, atom.rhs], safe)
             collector.report(
                 unresolved,
@@ -307,7 +261,7 @@ def rule_safety_violations(rule: ast.Rule) -> List[SafetyViolation]:
     remaining: Set[str] = set()
     for literal in positives:
         if not isinstance(literal.atom, ast.Comparison):
-            _term_variables(literal.atom, remaining)
+            ast.term_variables(literal.atom, remaining)
     remaining -= safe
     remaining -= collector.flagged
     collector.report(

@@ -10,14 +10,20 @@ the synthesis encodings need:
 * theory atoms ``&name(args) { elements } op term`` in rule heads (used for
   the linear/difference background theory).
 
-The AST is deliberately plain: immutable dataclasses without behaviour.
-Instantiation logic lives in :mod:`repro.asp.grounder`.
+The node types are immutable dataclasses without behaviour.  The
+*traversal* section at the end of the module is the one place that knows
+where terms and literals sit in a rule: the grounder, the safety check,
+the linter and the domain analysis find variables, binders, predicate
+occurrences, head atoms and ``#const`` names through it, and rebuild
+rules (``#const`` substitution, variable renaming) with
+:func:`map_terms`.  Instantiation logic lives in
+:mod:`repro.asp.grounder`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.asp.syntax import Symbol
 
@@ -44,6 +50,17 @@ __all__ = [
     "Rule",
     "Program",
     "COMPARISON_OPS",
+    "term_variables",
+    "literal_variables",
+    "match_variables",
+    "is_binder",
+    "occurrences",
+    "head_atoms",
+    "visit_terms",
+    "map_term",
+    "map_terms",
+    "constants_mentioned",
+    "substitute_constants",
 ]
 
 # ---------------------------------------------------------------------------
@@ -75,7 +92,10 @@ class Location:
 
 @dataclass(frozen=True)
 class Variable:
-    """A first-order variable, e.g. ``X``.  ``_`` is an anonymous variable."""
+    """A first-order variable, e.g. ``X``.
+
+    The parser names each anonymous ``_`` apart (``_Anon1``, ...).
+    """
 
     name: str
 
@@ -366,3 +386,297 @@ class Program:
         lines = [f"#const {name}={value}." for name, value in self.constants.items()]
         lines.extend(str(r) for r in self.rules)
         return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+#
+# The term sites of a rule, in the one order every walk below uses: the
+# head first (a plain atom's arguments; a choice head's elements, each
+# atom's arguments then its condition, then the lower and upper bound; a
+# theory atom's arguments, then its elements, terms then condition, then
+# its guard), then each body item (a literal's arguments or the two
+# sides of its comparison; an aggregate's left and right guard, then its
+# elements, terms then condition).  Predicate names — of atoms, literals,
+# choice elements and theory atoms — are never terms.  A *leaf* is a
+# variable, a symbol or a constant name (a function term without
+# arguments); every other term has subterms.
+
+
+def term_variables(term: Term, out: Set[str]) -> Set[str]:
+    """Add the names of the variables in ``term`` to ``out``; returns ``out``."""
+    if isinstance(term, Variable):
+        out.add(term.name)
+    elif isinstance(term, FunctionTerm):
+        for argument in term.arguments:
+            term_variables(argument, out)
+    elif isinstance(term, BinaryTerm):
+        term_variables(term.lhs, out)
+        term_variables(term.rhs, out)
+    elif isinstance(term, UnaryTerm):
+        term_variables(term.argument, out)
+    elif isinstance(term, IntervalTerm):
+        term_variables(term.lower, out)
+        term_variables(term.upper, out)
+    elif isinstance(term, PoolTerm):
+        for option in term.options:
+            term_variables(option, out)
+    return out
+
+
+def literal_variables(literal: Literal) -> Set[str]:
+    """The names of the variables in ``literal``."""
+    atom = literal.atom
+    if isinstance(atom, Comparison):
+        return term_variables(atom.rhs, term_variables(atom.lhs, set()))
+    return term_variables(atom, set())
+
+
+def match_variables(term: Term, bound: Set[str], computed: Set[str]) -> None:
+    """Sort the variables of ``term`` by what matching a ground symbol
+    does to them: those at plain argument positions go to ``bound``
+    (matching binds them); those under arithmetic, intervals or pools go
+    to ``computed`` (matching can only evaluate them, never invert)."""
+    if isinstance(term, Variable):
+        bound.add(term.name)
+    elif isinstance(term, FunctionTerm):
+        for argument in term.arguments:
+            match_variables(argument, bound, computed)
+    elif not isinstance(term, SymbolTerm):
+        term_variables(term, computed)
+
+
+def is_binder(item: BodyItem) -> bool:
+    """Is ``item`` a positive equality ``X = term`` or ``term = X``?
+
+    Such a literal generates the values of its variable during a join
+    (gringo's assignment idiom, intervals included: ``X = 1..n``).
+    """
+    if not isinstance(item, Literal) or item.sign != 0:
+        return False
+    atom = item.atom
+    return (
+        isinstance(atom, Comparison)
+        and atom.op == "="
+        and (isinstance(atom.lhs, Variable) or isinstance(atom.rhs, Variable))
+    )
+
+
+def occurrences(rule: Rule) -> Iterator[Tuple[Literal, bool]]:
+    """Yield ``(literal, in_condition)`` for every predicate literal of ``rule``.
+
+    The body's literals and its aggregates' element conditions come in
+    body order, then the element conditions of a choice or theory head;
+    ``in_condition`` is True inside an element condition.
+    """
+    for item in rule.body:
+        if isinstance(item, Literal):
+            if isinstance(item.atom, FunctionTerm):
+                yield item, False
+            continue
+        for element in item.elements:
+            for literal in element.condition:
+                if isinstance(literal.atom, FunctionTerm):
+                    yield literal, True
+    head = rule.head
+    if isinstance(head, (ChoiceHead, TheoryAtom)):
+        for element in head.elements:
+            for literal in element.condition:
+                if isinstance(literal.atom, FunctionTerm):
+                    yield literal, True
+
+
+def head_atoms(rule: Rule) -> List[Tuple[FunctionTerm, Tuple[Literal, ...]]]:
+    """The atoms ``rule`` derives, each with its element condition
+    (empty for a plain head; none for a constraint or a theory head)."""
+    head = rule.head
+    if isinstance(head, FunctionTerm):
+        return [(head, ())]
+    if isinstance(head, ChoiceHead):
+        return [(element.atom, element.condition) for element in head.elements]
+    return []
+
+
+def _visit_term(term: Term, fn: Callable[[Term], object]) -> None:
+    if isinstance(term, (Variable, SymbolTerm)):
+        fn(term)
+    elif isinstance(term, FunctionTerm):
+        if not term.arguments:
+            fn(term)
+        for argument in term.arguments:
+            _visit_term(argument, fn)
+    elif isinstance(term, BinaryTerm):
+        _visit_term(term.lhs, fn)
+        _visit_term(term.rhs, fn)
+    elif isinstance(term, UnaryTerm):
+        _visit_term(term.argument, fn)
+    elif isinstance(term, IntervalTerm):
+        _visit_term(term.lower, fn)
+        _visit_term(term.upper, fn)
+    elif isinstance(term, PoolTerm):
+        for option in term.options:
+            _visit_term(option, fn)
+
+
+def _visit_literal(literal: Literal, fn: Callable[[Term], object]) -> None:
+    atom = literal.atom
+    if isinstance(atom, Comparison):
+        _visit_term(atom.lhs, fn)
+        _visit_term(atom.rhs, fn)
+    else:
+        for argument in atom.arguments:
+            _visit_term(argument, fn)
+
+
+def visit_terms(rule: Rule, fn: Callable[[Term], object]) -> None:
+    """Call ``fn`` on every leaf term of ``rule``, in site order.
+
+    The read-only twin of :func:`map_terms`: both reach the same leaves
+    in the same order, and neither reaches a predicate name.
+    """
+    head = rule.head
+    if isinstance(head, FunctionTerm):
+        for argument in head.arguments:
+            _visit_term(argument, fn)
+    elif isinstance(head, ChoiceHead):
+        for element in head.elements:
+            for argument in element.atom.arguments:
+                _visit_term(argument, fn)
+            for literal in element.condition:
+                _visit_literal(literal, fn)
+        for bound in (head.lower, head.upper):
+            if bound is not None:
+                _visit_term(bound, fn)
+    elif isinstance(head, TheoryAtom):
+        for argument in head.arguments:
+            _visit_term(argument, fn)
+        for element in head.elements:
+            for term in element.terms:
+                _visit_term(term, fn)
+            for literal in element.condition:
+                _visit_literal(literal, fn)
+        if head.guard is not None:
+            _visit_term(head.guard[1], fn)
+    for item in rule.body:
+        if isinstance(item, Literal):
+            _visit_literal(item, fn)
+            continue
+        for guard in (item.left_guard, item.right_guard):
+            if guard is not None:
+                _visit_term(guard[1], fn)
+        for element in item.elements:
+            for term in element.terms:
+                _visit_term(term, fn)
+            for literal in element.condition:
+                _visit_literal(literal, fn)
+
+
+def map_term(term: Term, leaf: Callable[[Term], Term]) -> Term:
+    """``term`` rebuilt bottom-up with every leaf replaced by ``leaf(node)``."""
+    if isinstance(term, FunctionTerm):
+        if not term.arguments:
+            return leaf(term)
+        return FunctionTerm(term.name, tuple(map_term(a, leaf) for a in term.arguments))
+    if isinstance(term, BinaryTerm):
+        return BinaryTerm(term.op, map_term(term.lhs, leaf), map_term(term.rhs, leaf))
+    if isinstance(term, UnaryTerm):
+        return UnaryTerm(term.op, map_term(term.argument, leaf))
+    if isinstance(term, IntervalTerm):
+        return IntervalTerm(map_term(term.lower, leaf), map_term(term.upper, leaf))
+    if isinstance(term, PoolTerm):
+        return PoolTerm(tuple(map_term(o, leaf) for o in term.options))
+    return leaf(term)
+
+
+def map_terms(rule: Rule, leaf: Callable[[Term], Term]) -> Rule:
+    """``rule`` rebuilt with every leaf term replaced by ``leaf(node)``.
+
+    Leaves are reached in site order, as :func:`visit_terms` reaches
+    them.  Predicate names stay, and so does the ``location`` of the
+    rule and of every literal and aggregate in it.
+    """
+
+    def term(node: Term) -> Term:
+        return map_term(node, leaf)
+
+    def atom(node: FunctionTerm) -> FunctionTerm:
+        return FunctionTerm(node.name, tuple(term(a) for a in node.arguments))
+
+    def literal(node: Literal) -> Literal:
+        inner = node.atom
+        if isinstance(inner, Comparison):
+            inner = Comparison(inner.op, term(inner.lhs), term(inner.rhs))
+        else:
+            inner = atom(inner)
+        return Literal(node.sign, inner, location=node.location)
+
+    def condition(literals: Tuple[Literal, ...]) -> Tuple[Literal, ...]:
+        return tuple(literal(c) for c in literals)
+
+    def guard(pair: Optional[Tuple[str, Term]]) -> Optional[Tuple[str, Term]]:
+        return None if pair is None else (pair[0], term(pair[1]))
+
+    def body_item(item: BodyItem) -> BodyItem:
+        if isinstance(item, Literal):
+            return literal(item)
+        left, right = guard(item.left_guard), guard(item.right_guard)
+        elements = tuple(
+            AggregateElement(tuple(term(t) for t in e.terms), condition(e.condition))
+            for e in item.elements
+        )
+        return Aggregate(
+            item.sign, item.function, elements, left, right, location=item.location
+        )
+
+    head = rule.head
+    if isinstance(head, FunctionTerm):
+        head = atom(head)
+    elif isinstance(head, ChoiceHead):
+        elements = tuple(
+            ChoiceElement(atom(e.atom), condition(e.condition)) for e in head.elements
+        )
+        bounds = [None if b is None else term(b) for b in (head.lower, head.upper)]
+        head = ChoiceHead(elements, *bounds)
+    elif isinstance(head, TheoryAtom):
+        arguments = tuple(term(a) for a in head.arguments)
+        elements = tuple(
+            TheoryElement(tuple(term(t) for t in e.terms), condition(e.condition))
+            for e in head.elements
+        )
+        head = TheoryAtom(head.name, arguments, elements, guard(head.guard))
+    return Rule(head, tuple(body_item(b) for b in rule.body), location=rule.location)
+
+
+def constants_mentioned(rule: Rule, constants: Dict[str, Term]) -> Tuple[str, ...]:
+    """The names in ``constants`` that :func:`substitute_constants` would
+    replace in ``rule``, in first-seen order.
+
+    The prepared-rule memo keys a rule on these names and their values,
+    so this read-only walk must find exactly the leaves the substitution
+    rebuilds — both go through the one site order above.
+    """
+    if not constants:
+        return ()
+    found: Dict[str, None] = {}
+
+    def leaf(term: Term) -> None:
+        if isinstance(term, FunctionTerm) and term.name in constants:
+            found[term.name] = None
+
+    visit_terms(rule, leaf)
+    return tuple(found)
+
+
+def substitute_constants(rule: Rule, constants: Dict[str, Term]) -> Rule:
+    """``rule`` with every ``#const`` name among its terms replaced by
+    its value (predicate names are never replaced)."""
+    if not constants:
+        return rule
+
+    def leaf(term: Term) -> Term:
+        if isinstance(term, FunctionTerm):
+            return constants.get(term.name, term)
+        return term
+
+    return map_terms(rule, leaf)

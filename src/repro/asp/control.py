@@ -41,7 +41,7 @@ from repro.asp import ast
 from repro.asp.completion import Translation, translate
 from repro.asp.flatsolver import FlatSolver, SolverStatistics
 from repro.asp.ground import GroundProgram
-from repro.asp.grounder import Grounder, PreparedRule, constants_mentioned, prepare_rule
+from repro.asp.grounder import Grounder, PreparedRule, prepare_rule
 from repro.asp.parser import ParseError, parse_program
 from repro.asp.propagator import PropagatorInit, TheoryPropagator
 from repro.asp.syntax import Function, Number, String, Symbol
@@ -162,7 +162,10 @@ def _prepare_rule(rule: ast.Rule, constants: Dict[str, ast.Term]) -> PreparedRul
         return prepare_rule(rule, constants)
     key = (
         rule,
-        tuple((name, constants[name]) for name in constants_mentioned(rule, constants)),
+        tuple(
+            (name, constants[name])
+            for name in ast.constants_mentioned(rule, constants)
+        ),
     )
     with _cache_lock:
         prepared = _rule_cache.get(key)
@@ -261,9 +264,9 @@ def ground_text(
 ) -> GroundProgram:
     """Ground program ``text`` into a reusable :class:`GroundProgram`.
 
-    The resulting artifact is picklable (``to_bytes``/``from_bytes``)
-    and can be passed to :meth:`Control.ground` — or shipped to another
-    process — to skip instantiation entirely.
+    The resulting artifact is picklable and can be passed to
+    :meth:`Control.ground` — or handed to another process — to skip
+    instantiation entirely.
     """
     program, _hit = _ground_parts_cached((text,), cache, mode)
     return program

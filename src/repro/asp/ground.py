@@ -8,15 +8,14 @@ rule with head ``head``.
 
 A :class:`GroundProgram` is a self-contained, *picklable* artifact: it
 carries the ``#show``/``#external`` declarations and the grounding
-statistics alongside the rules, so a program ground once can be shipped
-to other processes (the parallel DSE workers) or cached and replayed
-into fresh :class:`~repro.asp.control.Control` instances without
-re-grounding.
+statistics alongside the rules, so a program ground once can be handed
+to other processes (the parallel DSE workers inherit it under ``fork``
+and unpickle it under ``spawn``) or cached and replayed into fresh
+:class:`~repro.asp.control.Control` instances without re-grounding.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -68,19 +67,6 @@ class GroundProgram:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-
-    def to_bytes(self) -> bytes:
-        """Serialize once; ship to workers with :meth:`from_bytes`."""
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def from_bytes(payload: bytes) -> "GroundProgram":
-        program = pickle.loads(payload)
-        if not isinstance(program, GroundProgram):
-            raise TypeError(
-                f"expected a pickled GroundProgram, got {type(program).__name__}"
-            )
-        return program
 
     # -- dependency analysis -------------------------------------------------
 

@@ -40,6 +40,7 @@ from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.asp import ast
+from repro.asp.ast import is_binder, literal_variables, match_variables, term_variables
 from repro.asp.syntax import Function, Number, Symbol
 from repro.graphs import add_edge, condensation
 
@@ -85,6 +86,8 @@ class GroundingStatistics:
 
 #: A ground literal: (sign, atom symbol); sign 0 positive, 1 negative.
 GroundLiteral = Tuple[int, Function]
+
+Signature = Tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -389,46 +392,6 @@ def _match_trail(
     return value is not None and value == symbol
 
 
-def _term_variables(term: ast.Term, out: Set[str]) -> None:
-    if isinstance(term, ast.Variable):
-        out.add(term.name)
-    elif isinstance(term, ast.FunctionTerm):
-        for argument in term.arguments:
-            _term_variables(argument, out)
-    elif isinstance(term, ast.BinaryTerm):
-        _term_variables(term.lhs, out)
-        _term_variables(term.rhs, out)
-    elif isinstance(term, ast.UnaryTerm):
-        _term_variables(term.argument, out)
-    elif isinstance(term, ast.IntervalTerm):
-        _term_variables(term.lower, out)
-        _term_variables(term.upper, out)
-    elif isinstance(term, ast.PoolTerm):
-        for option in term.options:
-            _term_variables(option, out)
-
-
-def _complex_variables(term: ast.Term, out: Set[str]) -> None:
-    """Variables occurring under arithmetic/interval operators (which can
-    only be evaluated, never inverted, during matching)."""
-    if isinstance(term, ast.FunctionTerm):
-        for argument in term.arguments:
-            _complex_variables(argument, out)
-    elif isinstance(term, (ast.BinaryTerm, ast.UnaryTerm, ast.IntervalTerm, ast.PoolTerm)):
-        _term_variables(term, out)
-
-
-def literal_variables(literal: ast.Literal) -> Set[str]:
-    """The set of variable names occurring in ``literal``."""
-    out: Set[str] = set()
-    if isinstance(literal.atom, ast.Comparison):
-        _term_variables(literal.atom.lhs, out)
-        _term_variables(literal.atom.rhs, out)
-    else:
-        _term_variables(literal.atom, out)
-    return out
-
-
 def ground_theory_term(term: ast.Term, subst: Dict[str, Symbol]) -> GroundTheoryTerm:
     """Ground a theory-element term, folding numeric arithmetic.
 
@@ -461,58 +424,6 @@ def ground_theory_term(term: ast.Term, subst: Dict[str, Symbol]) -> GroundTheory
     if value is None:
         raise GroundingError(f"theory term {term} is not ground under {subst}")
     return value
-
-
-# ---------------------------------------------------------------------------
-# Dependency analysis
-# ---------------------------------------------------------------------------
-
-Signature = Tuple[str, int]
-
-
-def _literal_signature(literal: ast.Literal) -> Optional[Signature]:
-    if isinstance(literal.atom, ast.FunctionTerm):
-        return (literal.atom.name, len(literal.atom.arguments))
-    return None
-
-
-def _rule_occurrences(rule: ast.Rule):
-    """Yield ``(signature, needs_closed)`` for every predicate the rule uses."""
-    for item in rule.body:
-        if isinstance(item, ast.Literal):
-            sig = _literal_signature(item)
-            if sig is not None:
-                yield sig, item.sign == 1
-        else:  # aggregate
-            for element in item.elements:
-                for condition in element.condition:
-                    sig = _literal_signature(condition)
-                    if sig is not None:
-                        yield sig, True
-    head = rule.head
-    if isinstance(head, ast.ChoiceHead):
-        for element in head.elements:
-            for condition in element.condition:
-                sig = _literal_signature(condition)
-                if sig is not None:
-                    yield sig, True
-    elif isinstance(head, ast.TheoryAtom):
-        for element in head.elements:
-            for condition in element.condition:
-                sig = _literal_signature(condition)
-                if sig is not None:
-                    yield sig, True
-
-
-def _rule_head_signatures(rule: ast.Rule) -> List[Signature]:
-    head = rule.head
-    if isinstance(head, ast.FunctionTerm):
-        return [(head.name, len(head.arguments))]
-    if isinstance(head, ast.ChoiceHead):
-        return [
-            (element.atom.name, len(element.atom.arguments)) for element in head.elements
-        ]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +527,7 @@ class _LiteralPlan:
         assert isinstance(atom, ast.FunctionTerm)
         self.signature = (atom.name, len(atom.arguments))
         complex_vars: Set[str] = set()
-        _complex_variables(atom, complex_vars)
+        match_variables(atom, set(), complex_vars)
         self.complex_vars = frozenset(complex_vars)
         args: List[Tuple[int, object]] = []
         for argument in atom.arguments:
@@ -625,8 +536,7 @@ class _LiteralPlan:
             elif isinstance(argument, ast.Variable):
                 args.append((_ARG_VAR, argument.name))
             else:
-                variables: Set[str] = set()
-                _term_variables(argument, variables)
+                variables = term_variables(argument, set())
                 value = None if variables else evaluate_term(argument, {})
                 if value is not None:
                     args.append((_ARG_CONST, value))
@@ -636,7 +546,13 @@ class _LiteralPlan:
 
 
 class _RulePlan:
-    """Per-rule instantiation metadata: body split, occurrence cache."""
+    """Per-rule instantiation metadata: body split, occurrence cache.
+
+    ``occurrences`` holds ``(signature, needs_closed)`` per predicate
+    literal: element conditions and negative body literals need their
+    signature closed first.  ``conditions`` holds the signatures read in
+    element conditions.
+    """
 
     __slots__ = (
         "rule",
@@ -644,10 +560,11 @@ class _RulePlan:
         "positive_literals",
         "others",
         "occurrences",
+        "conditions",
         "head_signatures",
     )
 
-    def __init__(self, rule: ast.Rule, is_binder) -> None:
+    def __init__(self, rule: ast.Rule) -> None:
         self.rule = rule
         self.positive_literals: List[ast.Literal] = []
         self.others: List[ast.BodyItem] = []
@@ -663,10 +580,17 @@ class _RulePlan:
             else:
                 self.others.append(item)
         self.positives = [_LiteralPlan(lit) for lit in self.positive_literals]
-        self.occurrences: List[Tuple[Signature, bool]] = list(
-            _rule_occurrences(rule)
-        )
-        self.head_signatures: List[Signature] = _rule_head_signatures(rule)
+        self.occurrences: List[Tuple[Signature, bool]] = []
+        conditions: Set[Signature] = set()
+        for literal, in_condition in ast.occurrences(rule):
+            sig = (literal.atom.name, len(literal.atom.arguments))
+            self.occurrences.append((sig, in_condition or literal.sign == 1))
+            if in_condition:
+                conditions.add(sig)
+        self.conditions = frozenset(conditions)
+        self.head_signatures: List[Signature] = [
+            (atom.name, len(atom.arguments)) for atom, _ in ast.head_atoms(rule)
+        ]
 
 
 class PreparedRule:
@@ -689,12 +613,12 @@ class PreparedRule:
         self.violations = violations
         self._plan: Optional[_RulePlan] = None
         if fact is None:
-            self._plan = _RulePlan(rule, Grounder._is_binder)
+            self._plan = _RulePlan(rule)
 
     @property
     def plan(self) -> "_RulePlan":
         if self._plan is None:
-            self._plan = _RulePlan(self.rule, Grounder._is_binder)
+            self._plan = _RulePlan(self.rule)
         return self._plan
 
 
@@ -702,86 +626,12 @@ def prepare_rule(rule: ast.Rule, constants: Dict[str, ast.Term]) -> PreparedRule
     """Substitute ``constants`` into ``rule``, plan it and check its safety."""
     from repro.analysis.safety import fatal_violations
 
-    rule = Grounder._substitute_constants(rule, constants)
+    rule = ast.substitute_constants(rule, constants)
     if not rule.body and isinstance(rule.head, ast.FunctionTerm):
         atom = evaluate_term(rule.head, {})
         if atom is not None:
             return PreparedRule(rule, atom, ())
     return PreparedRule(rule, None, tuple(fatal_violations(rule)))
-
-
-def constants_mentioned(
-    rule: ast.Rule, constants: Dict[str, ast.Term]
-) -> Tuple[str, ...]:
-    """The names in ``constants`` that :meth:`Grounder._substitute_constants`
-    would replace in ``rule`` (argument positions only, in first-seen order)."""
-    if not constants:
-        return ()
-    found: Dict[str, None] = {}
-
-    def term(node) -> None:
-        if isinstance(node, ast.FunctionTerm):
-            if not node.arguments:
-                if node.name in constants:
-                    found[node.name] = None
-            for argument in node.arguments:
-                term(argument)
-        elif isinstance(node, ast.BinaryTerm):
-            term(node.lhs)
-            term(node.rhs)
-        elif isinstance(node, ast.UnaryTerm):
-            term(node.argument)
-        elif isinstance(node, ast.IntervalTerm):
-            term(node.lower)
-            term(node.upper)
-        elif isinstance(node, ast.PoolTerm):
-            for option in node.options:
-                term(option)
-
-    def literal(node: ast.Literal) -> None:
-        atom = node.atom
-        if isinstance(atom, ast.Comparison):
-            term(atom.lhs)
-            term(atom.rhs)
-        else:
-            for argument in atom.arguments:
-                term(argument)
-
-    def elements(items) -> None:
-        for element in items:
-            for item in getattr(element, "terms", ()):
-                term(item)
-            atom = getattr(element, "atom", None)
-            if atom is not None:
-                for argument in atom.arguments:
-                    term(argument)
-            for condition in element.condition:
-                literal(condition)
-
-    for item in rule.body:
-        if isinstance(item, ast.Literal):
-            literal(item)
-        else:
-            elements(item.elements)
-            for guard in (item.left_guard, item.right_guard):
-                if guard is not None:
-                    term(guard[1])
-    head = rule.head
-    if isinstance(head, ast.FunctionTerm):
-        for argument in head.arguments:
-            term(argument)
-    elif isinstance(head, ast.ChoiceHead):
-        elements(head.elements)
-        for bound in (head.lower, head.upper):
-            if bound is not None:
-                term(bound)
-    elif isinstance(head, ast.TheoryAtom):
-        for argument in head.arguments:
-            term(argument)
-        elements(head.elements)
-        if head.guard is not None:
-            term(head.guard[1])
-    return tuple(found)
 
 
 def _fact_rule(atom: Function) -> PreparedRule:
@@ -891,100 +741,6 @@ class Grounder:
         self._rules.append(entry.rule)
         self._plans.append(entry.plan)
         self._violations.append(entry.violations)
-
-    # -- #const substitution --------------------------------------------------
-
-    @staticmethod
-    def _substitute_constants(rule: ast.Rule, constants: Dict[str, ast.Term]) -> ast.Rule:
-        if not constants:
-            return rule
-
-        def sub_term(term: ast.Term) -> ast.Term:
-            if isinstance(term, ast.FunctionTerm):
-                if not term.arguments and term.name in constants:
-                    return constants[term.name]
-                return ast.FunctionTerm(
-                    term.name, tuple(sub_term(a) for a in term.arguments)
-                )
-            if isinstance(term, ast.BinaryTerm):
-                return ast.BinaryTerm(term.op, sub_term(term.lhs), sub_term(term.rhs))
-            if isinstance(term, ast.UnaryTerm):
-                return ast.UnaryTerm(term.op, sub_term(term.argument))
-            if isinstance(term, ast.IntervalTerm):
-                return ast.IntervalTerm(sub_term(term.lower), sub_term(term.upper))
-            if isinstance(term, ast.PoolTerm):
-                return ast.PoolTerm(tuple(sub_term(o) for o in term.options))
-            return term
-
-        def sub_atom(atom: ast.FunctionTerm) -> ast.FunctionTerm:
-            # Predicate names are never substituted, only arguments.
-            return ast.FunctionTerm(atom.name, tuple(sub_term(a) for a in atom.arguments))
-
-        def sub_literal(literal: ast.Literal) -> ast.Literal:
-            atom = literal.atom
-            if isinstance(atom, ast.Comparison):
-                return ast.Literal(
-                    literal.sign,
-                    ast.Comparison(atom.op, sub_term(atom.lhs), sub_term(atom.rhs)),
-                    location=literal.location,
-                )
-            return ast.Literal(literal.sign, sub_atom(atom), location=literal.location)
-
-        def sub_guard(guard):
-            if guard is None:
-                return None
-            return (guard[0], sub_term(guard[1]))
-
-        def sub_body_item(item: ast.BodyItem) -> ast.BodyItem:
-            if isinstance(item, ast.Literal):
-                return sub_literal(item)
-            return ast.Aggregate(
-                item.sign,
-                item.function,
-                tuple(
-                    ast.AggregateElement(
-                        tuple(sub_term(t) for t in e.terms),
-                        tuple(sub_literal(c) for c in e.condition),
-                    )
-                    for e in item.elements
-                ),
-                sub_guard(item.left_guard),
-                sub_guard(item.right_guard),
-                location=item.location,
-            )
-
-        head = rule.head
-        if isinstance(head, ast.FunctionTerm):
-            head = sub_atom(head)
-        elif isinstance(head, ast.ChoiceHead):
-            head = ast.ChoiceHead(
-                tuple(
-                    ast.ChoiceElement(
-                        sub_atom(e.atom), tuple(sub_literal(c) for c in e.condition)
-                    )
-                    for e in head.elements
-                ),
-                sub_term(head.lower) if head.lower is not None else None,
-                sub_term(head.upper) if head.upper is not None else None,
-            )
-        elif isinstance(head, ast.TheoryAtom):
-            head = ast.TheoryAtom(
-                head.name,
-                tuple(sub_term(a) for a in head.arguments),
-                tuple(
-                    ast.TheoryElement(
-                        tuple(sub_term(t) for t in e.terms),
-                        tuple(sub_literal(c) for c in e.condition),
-                    )
-                    for e in head.elements
-                ),
-                sub_guard(head.guard),
-            )
-        return ast.Rule(
-            head,
-            tuple(sub_body_item(b) for b in rule.body),
-            location=rule.location,
-        )
 
     # -- component scheduling ---------------------------------------------------
 
@@ -1152,35 +908,17 @@ class Grounder:
     def _check_batch(self, rule_indices: List[int]) -> None:
         """Reject recursion through aggregates or element conditions."""
         for index in rule_indices:
-            rule = self._rules[index]
-            for sig, needs_closed in self._plans[index].occurrences:
+            plan = self._plans[index]
+            for sig, needs_closed in plan.occurrences:
                 if needs_closed and sig in self._open:
                     # Plain negative body literals are tolerated (negative
                     # recursion); conditions/aggregates are not.
-                    if self._is_condition_occurrence(rule, sig):
+                    if sig in plan.conditions:
                         raise GroundingError(
                             f"predicate {sig[0]}/{sig[1]} is used in an aggregate or "
                             f"element condition of a rule in its own dependency "
                             f"component (recursive aggregates are not supported)"
                         )
-
-    @staticmethod
-    def _is_condition_occurrence(rule: ast.Rule, sig: Signature) -> bool:
-        def in_conditions(conditions) -> bool:
-            return any(_literal_signature(c) == sig for c in conditions)
-
-        for item in rule.body:
-            if isinstance(item, ast.Aggregate):
-                if any(in_conditions(e.condition) for e in item.elements):
-                    return True
-        head = rule.head
-        if isinstance(head, ast.ChoiceHead):
-            if any(in_conditions(e.condition) for e in head.elements):
-                return True
-        if isinstance(head, ast.TheoryAtom):
-            if any(in_conditions(e.condition) for e in head.elements):
-                return True
-        return False
 
     @property
     def possible_atoms(self) -> Set[Function]:
@@ -1191,22 +929,6 @@ class Grounder:
         return self._index.facts
 
     # -- rule instantiation -------------------------------------------------
-
-    @staticmethod
-    def _is_binder(item: ast.BodyItem) -> bool:
-        """``X = term`` / ``term = X`` positive equalities act as
-        generators during the join (gringo's assignment idiom, incl.
-        intervals: ``X = 1..n``)."""
-        return (
-            isinstance(item, ast.Literal)
-            and item.sign == 0
-            and isinstance(item.atom, ast.Comparison)
-            and item.atom.op == "="
-            and (
-                isinstance(item.atom.lhs, ast.Variable)
-                or isinstance(item.atom.rhs, ast.Variable)
-            )
-        )
 
     def _ground_rule(self, index: int) -> bool:
         plan = self._plans[index]
@@ -1286,7 +1008,7 @@ class Grounder:
         cached = self._literal_complex_vars.get(key)
         if cached is None:
             cached = set()
-            _complex_variables(atom, cached)
+            match_variables(atom, set(), cached)
             self._literal_complex_vars[key] = cached
         return cached
 
@@ -1306,11 +1028,11 @@ class Grounder:
                 variable, source = self._binder_parts(atom, subst)
                 if variable is None:
                     source_vars: Set[str] = set()
-                    _term_variables(atom.lhs, source_vars)
-                    _term_variables(atom.rhs, source_vars)
+                    term_variables(atom.lhs, source_vars)
+                    term_variables(atom.rhs, source_vars)
                 else:
                     source_vars = set()
-                    _term_variables(source, source_vars)
+                    term_variables(source, source_vars)
                 blocked = len(source_vars - subst.keys())
                 unbound = len(self._cached_literal_vars(literal) - subst.keys())
             else:
@@ -1456,12 +1178,12 @@ class Grounder:
                 variable, source = self._binder_parts(atom, subst)
                 if variable is None:
                     source_vars: Set[str] = set()
-                    _term_variables(atom.lhs, source_vars)
-                    _term_variables(atom.rhs, source_vars)
+                    term_variables(atom.lhs, source_vars)
+                    term_variables(atom.rhs, source_vars)
                     estimate = 0  # a decided comparison filters immediately
                 else:
                     source_vars = set()
-                    _term_variables(source, source_vars)
+                    term_variables(source, source_vars)
                     estimate = 1  # a binder generates, prefer empty pools
                 blocked = len(source_vars - subst.keys())
             else:
@@ -1620,7 +1342,7 @@ class Grounder:
             c
             for c in condition
             if (c.sign == 0 and isinstance(c.atom, ast.FunctionTerm))
-            or self._is_binder(c)
+            or is_binder(c)
         ]
         others = [c for c in condition if c not in positives]
         for local in self._join(positives, subst):

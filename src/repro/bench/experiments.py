@@ -332,8 +332,9 @@ def fig5_approximation(
     """Fig. 5 (extension): epsilon-dominance approximation trade-off.
 
     The CODES+ISSS'18 follow-up idea: relaxing the dominance check by an
-    additive epsilon shrinks the archive and the search effort while
-    guaranteeing every exact point is epsilon-covered.  The quality
+    additive epsilon shrinks the archive while guaranteeing every exact
+    point is epsilon-covered; the search effort may rise or fall (see
+    :mod:`repro.dse.approximation`).  The quality
     column reports the measured additive-epsilon indicator against the
     exact front (never exceeding the configured epsilon).
     """

@@ -215,10 +215,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{t}:{r}" for t, r in sorted(point.implementation.binding.items())
         )
         rows.append(row)
-    title = (
-        f"{'Exact' if args.epsilon == 0 else f'{args.epsilon}-approximate'} "
-        f"Pareto front ({len(rows)} points)"
-    )
+    # A budget-interrupted run is neither exact nor an epsilon-front.
+    if stats.interrupted:
+        kind = "Partial"
+    elif args.epsilon:
+        kind = f"{args.epsilon}-approximate"
+    else:
+        kind = "Exact"
+    title = f"{kind} Pareto front ({len(rows)} points)"
     print()
     print(render_table(title, list(result.objectives) + ["binding"], rows))
     print(

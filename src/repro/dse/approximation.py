@@ -2,10 +2,16 @@
 
 The authors' follow-up work-in-progress (Neubauer et al., "On leveraging
 approximations for exact system-level design space exploration",
-CODES+ISSS 2018) trades front completeness for search effort by pruning
-with *epsilon-dominance*: a partial assignment is cut as soon as an
-archive point is within an additive ``epsilon`` of its lower-bound
-vector in every objective.
+CODES+ISSS 2018) prunes with *epsilon-dominance*: a partial assignment
+is cut as soon as an archive point is within an additive ``epsilon`` of
+its lower-bound vector in every objective.
+
+``epsilon`` bounds the returned front's error (the guarantee below); it
+does not bound the search effort, which need not fall.  Sequential
+``network_firewall`` takes 1559/1802/1624/1571 conflicts and
+19/23/14/13 models at ``epsilon`` = 0/1/2/3, with 6 front points each:
+a coarser archive prunes different branches, and the search can meet
+more conflicts on its way to them.
 
 :class:`EpsilonArchive` wraps any exact archive and implements the
 shifted dominance query, so :class:`repro.dse.explorer.DominancePropagator`

@@ -251,14 +251,12 @@ def _worker_main(
     branch_tasks: Sequence[str],
     command_queue,
     result_queue,
-    ground_blob: bytes,
+    ground_program: GroundProgram,
 ) -> None:
     """Process entry point: the exploration loop against the parent."""
     try:
         explorer = ExactParetoExplorer(
-            instance,
-            ground_program=GroundProgram.from_bytes(ground_blob),
-            **explorer_options,
+            instance, ground_program=ground_program, **explorer_options
         )
         remote = _RemoteScheduler(
             worker_id, branch_tasks, command_queue, result_queue
@@ -428,9 +426,9 @@ class ParallelParetoExplorer:
         )
         result_queue = context.Queue()
         command_queues = [context.Queue() for _worker in range(jobs)]
-        # Serialized once here; every worker deserializes the same blob
-        # instead of grounding the instance again.
-        ground_blob = ground.to_bytes()
+        # Every worker reuses the parent's ground program instead of
+        # grounding the instance again: a forked worker inherits it, a
+        # spawned one unpickles it.
         processes = [
             context.Process(
                 target=_worker_main,
@@ -442,7 +440,7 @@ class ParallelParetoExplorer:
                     branch_tasks,
                     command_queues[wid],
                     result_queue,
-                    ground_blob,
+                    ground,
                 ),
                 daemon=True,
             )

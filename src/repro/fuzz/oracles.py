@@ -14,7 +14,7 @@ oracle                input    compared paths
 ====================  =======  ==================================================
 ``grounding``         program  semi-naive vs naive grounder (rules, atom universe)
 ``solving``           program  CDNL pipeline vs brute-force stable-model check
-``pickle``            program  ``GroundProgram`` bytes round-trip + replayed solve
+``pickle``            program  ``GroundProgram`` pickle round-trip + replayed solve
 ``lint``              program  lint-clean implies grounds-without-error
 ``reorder``           program  rule reordering leaves the ground rule set intact
 ``front``             spec     exact explorer vs exhaustive vs parallel workers
@@ -30,6 +30,7 @@ oracle                input    compared paths
 
 from __future__ import annotations
 
+import pickle
 import random
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -193,7 +194,7 @@ class SolvingOracle(Oracle):
 
 
 class PickleOracle(Oracle):
-    """``GroundProgram`` bytes round-trip, then solves identically."""
+    """``GroundProgram`` pickle round-trip, then solves identically."""
 
     name = "pickle"
     kind = "program"
@@ -205,7 +206,7 @@ class PickleOracle(Oracle):
             raise Skip("program does not parse")
         except Exception:
             raise Skip("program does not ground")
-        restored = GroundProgram.from_bytes(program.to_bytes())
+        restored = pickle.loads(pickle.dumps(program))
         if {str(r) for r in program.rules} != {str(r) for r in restored.rules}:
             self.diverge("rules changed across the pickle round-trip")
         if (

@@ -24,7 +24,6 @@ from repro.asp.control import (
     ground_cache_info,
     ground_text,
 )
-from repro.asp.ground import GroundProgram
 from repro.asp.grounder import Grounder, GroundingError, _AtomIndex
 from repro.asp.parser import parse_program
 from repro.asp.syntax import Function, Number, parse_term
@@ -276,7 +275,7 @@ class TestGroundProgramArtifact:
 
     def test_pickle_round_trip(self):
         program = ground_text(self.TEXT, cache=False)
-        clone = GroundProgram.from_bytes(program.to_bytes())
+        clone = pickle.loads(pickle.dumps(program))
         assert {str(r) for r in clone.rules} == {str(r) for r in program.rules}
         assert clone.possible == program.possible
         assert clone.facts == program.facts
@@ -288,14 +287,10 @@ class TestGroundProgramArtifact:
     def test_dependency_graph_cache_not_shipped(self):
         program = ground_text(self.TEXT, cache=False)
         program.nontrivial_sccs()  # populate both caches
-        clone = GroundProgram.from_bytes(program.to_bytes())
+        clone = pickle.loads(pickle.dumps(program))
         assert clone._positive_graph is None
         assert clone._nontrivial_sccs is None
         assert clone.is_tight == program.is_tight  # recomputed on demand
-
-    def test_from_bytes_rejects_foreign_payloads(self):
-        with pytest.raises(TypeError):
-            GroundProgram.from_bytes(pickle.dumps({"not": "a program"}))
 
     def test_control_replays_artifact_without_regrounding(self):
         program = ground_text(self.TEXT, cache=False)

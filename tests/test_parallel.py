@@ -101,6 +101,7 @@ class TestEquivalence:
         assert result.vectors() == sequential_fronts[name]
         assert result.statistics.pareto_points == len(sequential_fronts[name])
         assert not result.statistics.interrupted
+        assert multiprocessing.active_children() == []
 
     def test_inline_backend_matches_and_is_deterministic(
         self, sequential_fronts
@@ -302,6 +303,30 @@ class TestCli:
         )
         assert code == 0
         assert "scheduler: stealing" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "workers",
+        (["--jobs", "1"], ["--jobs", "2", "--backend", "inline"]),
+        ids=("sequential", "inline"),
+    )
+    def test_budget_interrupted_front_is_titled_partial(self, workers, capsys):
+        from repro.dse.__main__ import main
+
+        code = main(
+            [
+                "--tasks", "8",
+                "--seed", "1",
+                "--platform", "mesh",
+                "--size", "3x2",
+                "--budget", "100",
+                *workers,
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "Exact Pareto front" not in printed
+        assert "Partial Pareto front" in printed
+        assert "INTERRUPTED (budget)" in printed
 
 
 class TestElasticScheduling:
